@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domains import IntervalSet
+from .domains import IntervalSet, _require_finite
 from .errors import DomainError, StateValidationError
 
 __all__ = [
@@ -161,8 +161,8 @@ def overlap_matrix(X: IntervalSet, dim: int) -> np.ndarray:
 class TruncatedState:
     """Density matrix on the first ``dim`` number states.
 
-    Validated on construction: Hermitian within 1e-12, unit trace within
-    1e-12, eigenvalues above -1e-10.  ``leakage`` records norm lost to
+    Validated on construction: finite, Hermitian within 1e-12, unit trace
+    within 1e-12, eigenvalues above -1e-10.  ``leakage`` records norm lost to
     truncation by the constructor that produced the state; ``meta`` carries
     advisory notes (truncation warnings, reconstruction diagnostics).
     """
@@ -178,6 +178,8 @@ class TruncatedState:
             raise StateValidationError(
                 f"matrix shape {mat.shape} does not match dim {self.dim}"
             )
+        if not np.isfinite(mat).all():
+            raise StateValidationError("matrix has NaN or infinite entries")
         herm = float(np.max(np.abs(mat - mat.conj().T))) if self.dim else 0.0
         if herm > HERMITIAN_TOL:
             raise StateValidationError(f"matrix not Hermitian (deviation {herm:.3e})")
@@ -319,6 +321,7 @@ def gaussian_pure_state(var_q: float, cov_qp: float, dim: int) -> TruncatedState
 
 def rotate_state(state: TruncatedState, theta: float) -> TruncatedState:
     """Conjugate by the oscillator rotation: entries pick up exp(i(n-m)theta)."""
+    _require_finite("theta", theta)
     phases = np.exp(1j * theta * np.arange(state.dim))
     mat = phases[:, None] * state.matrix * phases.conj()[None, :]
     return TruncatedState(state.dim, mat, leakage=state.leakage)

@@ -1,31 +1,35 @@
 """Displacement operators and covariant phase-space observables.
 
-The Weyl operator at the phase-space point (q, p) is represented through
-its number-basis matrix elements
+With a = (q + ip)/sqrt(2), x = |a|^2 and m = n + d, the Weyl operator has
+the number-basis matrix elements <h_m|W(q,p)|h_n> = head_d g_n, where
 
-    <h_m| W(q, p) |h_n> = sqrt(n!/m!) a^(m-n) exp(-|a|^2/2) L_n^(m-n)(|a|^2)
+    head_d = a^d exp(-x/2) / sqrt(d!),   g_n = sqrt(n! d!/(n+d)!) L_n^(d)(x),
 
-for m >= n with a = (q + ip)/sqrt(2) and generalized Laguerre L; entries
-above the diagonal follow from W(q,p)^* = W(-q,-p).  These closed-form
-entries are exact, so traces against finitely supported states carry no
-truncation bias.  A matrix-exponential route exp(i(pQ - qP)) is kept as an
-independent cross-check.
+and W(q,p)^* = W(-q,-p) gives the upper triangle with (-conj a)^d.  One
+engine evaluates them: the head as a running product in d, and g by the
+forward recurrence g_0 = 1, g_1 = (1+d-x)/sqrt(1+d),
+
+    g_{n+1} = [(2n+1+d-x) g_n - sqrt(n(n+d)) g_{n-1}] / sqrt((n+1)(n+1+d)),
+
+at O(1) cost per value.  |head_d| <= 1 and |g_n| <= sqrt(C(n+d,n)) e^(x/2),
+so nothing leaves double range on the documented domain dim <= 400,
+q^2 + p^2 <= 200.  The entries are exact, so traces against finitely
+supported states carry no truncation bias.  A matrix-exponential route
+exp(i(pQ - qP)) is kept as an independent cross-check.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.special import eval_genlaguerre, gammaln
 
-from .domains import IntervalSet
+from .domains import IntervalSet, _require_finite
 from .errors import DomainError
 from .fock import TruncatedState, rotate_state, _panel_rule, _support_bound
-from .quadrature import quadrature_density, quadrature_matrix
+from .quadrature import _quadrature_density, quadrature_density, quadrature_matrix
 
 __all__ = [
     "PhasePoint",
@@ -44,7 +48,9 @@ MARGINAL_EXTENT = 12.0
 MARGINAL_STEP = 0.005
 
 _EIGENVALUE_CUT = 1e-14
-_CHUNK = 200_000
+_MARGINAL_CHUNK = 200_000   # points of kernel density per marginal row chunk
+_BLOCK = 8192             # points per block of the displacement engine
+_BLOCK_CELLS = 1 << 20    # cap on coefficient rows x points in one block
 
 
 class PhasePoint(NamedTuple):
@@ -56,61 +62,80 @@ class PhasePoint(NamedTuple):
         return complex(self.q, self.p) / math.sqrt(2.0)
 
 
-@lru_cache(maxsize=32)
-def _log_factorials(dim: int) -> np.ndarray:
-    table = gammaln(np.arange(dim) + 1.0)
-    table.flags.writeable = False
-    return table
+def _laguerre_rows(shift: np.ndarray, d, count: int) -> np.ndarray:
+    """g_n^(d)(x) for n < count on a new leading axis, from the table
+    shift[s] = s - x (s < 2 count + d): either one order d over points x, or
+    one point x over an array of orders d."""
+    first = shift[1 + d]
+    g = np.empty((count,) + first.shape)
+    g[0] = 1.0
+    if count > 1:
+        g[1] = first / np.sqrt(1.0 + d)
+    rows, tmp = list(g), np.empty(first.shape)    # row views: cheap per-step lookups
+    for n in range(1, count - 1):
+        np.multiply(shift[2 * n + 1 + d], rows[n], out=rows[n + 1])
+        np.multiply(rows[n - 1], (n * (n + d)) ** 0.5, out=tmp)
+        rows[n + 1] -= tmp
+        rows[n + 1] /= ((n + 1) * (n + 1 + d)) ** 0.5
+    return g
 
 
-def _contract_displacement(alpha: np.ndarray, coeff: np.ndarray) -> np.ndarray:
-    """sum_{m,n} <h_m|W|h_n> coeff[m, n] for a flat array of alphas.
-
-    Works diagonal by diagonal so only O(dim) Laguerre evaluations of
-    vector length len(alpha) are needed, never a (P, dim, dim) block.
-    """
-    dim = coeff.shape[0]
-    asq = alpha.real**2 + alpha.imag**2
-    env = np.exp(-0.5 * asq)
-    logfact = _log_factorials(dim)
-    out = np.zeros(alpha.shape, dtype=complex)
-    pow_lo = np.ones_like(alpha)   # alpha^d
-    pow_up = np.ones_like(alpha)   # (-conj(alpha))^d
+def _contract_displacement(pt, coeffs: np.ndarray, reduce):
+    """reduce(re, im) at the broadcast (q, p) points, block by block, with
+    re + i im = sum_{m,n} <h_m|W(q,p)|h_n> coeffs[r, m, n] in row r; a float
+    for a single point.  Diagonal d folds its lower and upper coefficients
+    into one real (4 rows, dim - d) weight matrix: one recurrence and one
+    gemm per diagonal."""
+    qa, pa = np.broadcast_arrays(*(_require_finite("phase points", np.asarray(c, float)) for c in pt))
+    alphas = ((qa + 1j * pa) / math.sqrt(2.0)).ravel()
+    rows, dim, _ = coeffs.shape
+    # With head = hr + i hi:  re += hr (lo+up).real - hi (lo-up).imag  and
+    # im += hr (lo+up).imag + hi (lo-up).real, each dotted into g.
+    weights = []
     for d in range(dim):
-        ns = np.arange(dim - d)
-        scale = np.exp(0.5 * (logfact[ns] - logfact[ns + d]))
-        lag = eval_genlaguerre(ns[:, None], d, asq[None, :])
-        base = (scale[:, None] * lag) * env[None, :]
-        lo_w = np.diagonal(coeff, -d)          # coeff[n+d, n]
-        if d == 0:
-            out += lo_w @ base
-        else:
-            up_w = np.diagonal(coeff, d)       # coeff[n, n+d]
-            out += pow_lo * (lo_w @ base) + pow_up * (up_w @ base)
-        pow_lo = pow_lo * alpha
-        pow_up = pow_up * (-alpha.conj())
-    return out
+        lo = np.diagonal(coeffs, -d, axis1=1, axis2=2)    # coeffs[r, n+d, n]
+        up = (-1) ** d * np.diagonal(coeffs, d, axis1=1, axis2=2) if d else 0.0
+        weights.append(np.concatenate([(lo + up).real, (up - lo).imag, (lo + up).imag, (lo - up).real]))
+    block = max(1, min(_BLOCK, _BLOCK_CELLS // rows))
+    out = np.empty(alphas.size)
+    for start in range(0, alphas.size, block):
+        alpha = alphas[start : start + block]
+        x = alpha.real**2 + alpha.imag**2
+        shift = np.arange(2.0 * dim)[:, None] - x
+        head = np.exp(-0.5 * x).astype(complex)
+        acc = np.zeros((2, rows, alpha.size))                      # re, im
+        for d in range(dim):
+            if d:
+                head *= alpha
+                head *= 1.0 / math.sqrt(d)
+            terms = (weights[d] @ _laguerre_rows(shift, d, dim - d)).reshape(2, 2, rows, -1)
+            terms[:, 0] *= head.real
+            terms[:, 1] *= head.imag
+            acc += terms[:, 0]
+            acc += terms[:, 1]
+        out[start : start + alpha.size] = reduce(*acc)
+    out = out.reshape(qa.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def displacement_matrix(pt, dim: int) -> np.ndarray:
-    """Truncated Weyl operator W(q, p) from the Laguerre closed form."""
+    """Truncated Weyl operator W(q, p) from the normalized recurrence, run
+    over n with every diagonal d at once."""
     q, p = pt
     if dim < 1 or dim > MAX_DISPLACEMENT_DIM:
         raise DomainError(f"dim {dim} outside [1, {MAX_DISPLACEMENT_DIM}]")
-    if q * q + p * p > MAX_RADIUS_SQ:
+    if not q * q + p * p <= MAX_RADIUS_SQ:
         raise DomainError(f"phase point ({q}, {p}) outside q^2+p^2 <= {MAX_RADIUS_SQ}")
     alpha = complex(q, p) / math.sqrt(2.0)
-    asq = abs(alpha) ** 2
-    env = math.exp(-0.5 * asq)
-    logfact = _log_factorials(dim)
-    mat = np.zeros((dim, dim), dtype=complex)
-    for d in range(dim):
-        ns = np.arange(dim - d)
-        scale = np.exp(0.5 * (logfact[ns] - logfact[ns + d]))
-        vals = scale * eval_genlaguerre(ns, d, asq) * env
-        mat[ns + d, ns] = vals * alpha**d
-        if d:
-            mat[ns, ns + d] = vals * (-alpha.conjugate()) ** d
+    x = abs(alpha) ** 2
+    orders = np.arange(dim)
+    head = np.cumprod(np.concatenate([[math.exp(-0.5 * x)], alpha / np.sqrt(orders[1:])]))
+    g = _laguerre_rows(np.arange(3.0 * dim) - x, orders, dim)           # g[n, d]
+    m, n = np.tril_indices(dim)
+    d = m - n
+    mat = np.empty((dim, dim), dtype=complex)
+    mat[m, n] = head[d] * g[n, d]
+    mat[n, m] = (-1.0) ** d * head[d].conj() * g[n, d]
     return mat
 
 
@@ -128,19 +153,6 @@ def _low_rank(state: TruncatedState) -> tuple[np.ndarray, np.ndarray]:
     return evals[keep], evecs[:, keep]
 
 
-def _gk_values(state: TruncatedState, kernel: TruncatedState, alphas: np.ndarray) -> np.ndarray:
-    """tr[rho W K W*] over a flat array of alphas, via spectral decomposition."""
-    lam, u_vecs = _low_rank(state)
-    kap, v_vecs = _low_rank(kernel)
-    out = np.zeros(alphas.shape, dtype=float)
-    for i in range(lam.size):
-        for j in range(kap.size):
-            coeff = np.outer(u_vecs[:, i].conj(), v_vecs[:, j])
-            amp = _contract_displacement(alphas, coeff)
-            out += lam[i] * kap[j] * (amp.real**2 + amp.imag**2)
-    return out
-
-
 def gk_density(state: TruncatedState, kernel: TruncatedState, pt):
     """Phase-space density tr[rho W(q,p) K W(q,p)*] of the covariant
     observable generated by the positive unit-trace kernel K.
@@ -150,17 +162,11 @@ def gk_density(state: TruncatedState, kernel: TruncatedState, pt):
     """
     if state.dim != kernel.dim:
         raise DomainError("state and kernel must share one truncation")
-    q, p = pt
-    qa, pa = np.broadcast_arrays(np.asarray(q, float), np.asarray(p, float))
-    alphas = ((qa + 1j * pa) / math.sqrt(2.0)).ravel()
-    vals = np.empty(alphas.shape, dtype=float)
-    for start in range(0, alphas.size, _CHUNK):
-        block = slice(start, min(start + _CHUNK, alphas.size))
-        vals[block] = _gk_values(state, kernel, alphas[block])
-    vals = vals.reshape(qa.shape)
-    if np.isscalar(q) or np.asarray(q).ndim == 0:
-        return float(vals)
-    return vals
+    # sum_ij lam_i kap_j |<u_i|W|v_j>|^2: every eigenpair is one coefficient row
+    (lam, u_vecs), (kap, v_vecs) = _low_rank(state), _low_rank(kernel)
+    coeffs = np.einsum("mi,nj->ijmn", u_vecs.conj(), v_vecs).reshape(-1, state.dim, state.dim)
+    pair_weights = np.outer(lam, kap).ravel()
+    return _contract_displacement(pt, coeffs, lambda re, im: pair_weights @ (re * re + im * im))
 
 
 def _marginal_kernel_state(kernel: TruncatedState, theta: float) -> TruncatedState:
@@ -185,15 +191,15 @@ def rotated_marginal_density(
     direct trapezoid sum on |x| <= extent, which resolves states of
     dimension up to about 40 to 1e-12.
     """
+    ta = _require_finite("t", np.atleast_1d(np.asarray(t, dtype=float)))
     xs = np.arange(-extent, extent + 0.5 * step, step)
     weights = np.full(xs.size, step)
     weights[0] = weights[-1] = 0.5 * step
     source = quadrature_density(state, theta, xs) * weights
     kprime = _marginal_kernel_state(kernel, theta)
 
-    ta = np.atleast_1d(np.asarray(t, dtype=float))
     out = np.empty(ta.size)
-    rows = max(1, _CHUNK // xs.size)
+    rows = max(1, _MARGINAL_CHUNK // xs.size)
     reach = _support_bound(kernel.dim - 1)
     for start in range(0, ta.size, rows):
         tb = ta[start : start + rows]
@@ -201,7 +207,7 @@ def rotated_marginal_density(
         kv = np.zeros(pts.size)
         inside = np.abs(pts) <= reach     # the density underflows beyond
         if np.any(inside):
-            kv[inside] = quadrature_density(kprime, 0.0, pts[inside])
+            kv[inside] = _quadrature_density(kprime, 0.0, pts[inside])
         out[start : start + rows] = kv.reshape(tb.size, xs.size) @ source
     if np.isscalar(t) or np.asarray(t).ndim == 0:
         return float(out[0])

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .domains import IntervalSet
+from .domains import IntervalSet, _require_finite
 from .errors import DomainError
 from .fock import TruncatedState, hermite_basis, overlap_matrix
 
@@ -67,6 +67,7 @@ def quadrature_matrix(theta: float, dim: int) -> QuadratureMatrix:
 
 def _counter_rotated(state: TruncatedState, theta: float) -> np.ndarray:
     """Matrix of the state rotated by -theta (used by density/probability)."""
+    _require_finite("theta", theta)
     phases = np.exp(-1j * theta * np.arange(state.dim))
     return phases[:, None] * state.matrix * phases.conj()[None, :]
 
@@ -77,11 +78,16 @@ def quadrature_density(state: TruncatedState, theta: float, x):
     Equals sum_{n,m} rho_nm exp(-i(n-m)theta) h_n(x) h_m(x); real and
     nonnegative up to rounding for a valid state.
     """
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
+    xa = _require_finite("x", np.atleast_1d(np.asarray(x, dtype=float)))
+    vals = _quadrature_density(state, theta, xa)
+    return vals if isinstance(x, np.ndarray) else float(vals[0])
+
+
+def _quadrature_density(state: TruncatedState, theta: float, xa: np.ndarray) -> np.ndarray:
+    """quadrature_density at a flat array of points already known finite."""
     rho = _counter_rotated(state, theta)
     basis = hermite_basis(state.dim - 1, xa)
-    vals = np.einsum("ni,nm,mi->i", basis, rho, basis, optimize=True).real
-    return vals if isinstance(x, np.ndarray) else float(vals[0])
+    return np.einsum("ni,nm,mi->i", basis, rho, basis, optimize=True).real
 
 
 def quadrature_probability(state: TruncatedState, theta: float, X: IntervalSet) -> float:

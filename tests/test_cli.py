@@ -156,6 +156,28 @@ def test_exit_code_state_validation(tmp_path, capsys):
     assert "trace" in err
 
 
+def test_exit_code_state_file_with_nan(tmp_path, capsys):
+    bad = tmp_path / "nan.json"
+    bad.write_text('{"dim": 1, "matrix": [[NaN, 0.0]]}')
+    code, out, err = run_cli(
+        capsys, "quad-density", "--state", f"file:{bad}", "--dim", "1", "--grid=-1:1:1"
+    )
+    assert code == 3
+    assert out == ""
+    assert "NaN" in err
+
+
+def test_exit_code_nan_angle(capsys):
+    code, out, err = run_cli(
+        capsys, "strip-prob", "--state", "vacuum", "--kernel", "vacuum", "--dim", "16",
+        "--theta", "nan", "--intervals", "0,1",
+    )
+    assert code == 2
+    assert out == ""
+    assert "theta must be finite" in err
+    assert "Traceback" not in err
+
+
 def test_exit_code_numerical_contract(capsys):
     code, _, err = run_cli(
         capsys, "radon", "--state", "coherent:2.5,0", "--dim", "32",

@@ -6,6 +6,7 @@ from scipy.integrate import quad
 from scipy.special import eval_hermite, gammaln
 
 from quadsuite import (
+    DomainError,
     IntervalSet,
     StateValidationError,
     coherent_state,
@@ -221,6 +222,26 @@ def test_state_roundtrip_through_file(tmp_path, rng, random_mixed):
 def test_state_validation_rejects(matrix):
     with pytest.raises(StateValidationError):
         state_from_matrix(matrix)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_state_validation_rejects_non_finite(bad):
+    # NaN slips past every tolerance comparison, so it is refused up front
+    with pytest.raises(StateValidationError, match="NaN or infinite"):
+        state_from_matrix(np.array([[1.0, bad], [bad, 0.0]]))
+
+
+def test_load_state_refuses_nan_entry(tmp_path):
+    path = tmp_path / "nan.json"
+    path.write_text('{"dim": 1, "matrix": [[NaN, 0.0]]}')
+    with pytest.raises(StateValidationError):
+        load_state(path)
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_rotate_state_rejects_non_finite_angle(theta):
+    with pytest.raises(DomainError):
+        rotate_state(vacuum_state(4), theta)
 
 
 def test_state_matrix_is_frozen():

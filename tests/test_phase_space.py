@@ -1,9 +1,11 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import simpson
 from scipy.linalg import expm
+from scipy.special import eval_genlaguerre, gammaln
 
 from quadsuite import (
     DomainError,
@@ -18,6 +20,7 @@ from quadsuite import (
     strip_probability,
     uniform_axis,
     vacuum_state,
+    wigner,
 )
 
 
@@ -61,24 +64,110 @@ def test_displacement_guards():
         displacement_matrix((20.0, 0.0), 30)
     with pytest.raises(DomainError):
         displacement_matrix((0.0, 0.0), 500)
+    with pytest.raises(DomainError):
+        displacement_matrix((math.nan, 0.0), 30)
+
+
+def _laguerre_closed_form(pt, dim):
+    # sqrt(n!/m!) a^(m-n) exp(-|a|^2/2) L_n^(m-n)(|a|^2) entry by entry
+    alpha = complex(*pt) / math.sqrt(2.0)
+    x = abs(alpha) ** 2
+    logfact = gammaln(np.arange(dim) + 1.0)
+    mat = np.zeros((dim, dim), dtype=complex)
+    for d in range(dim):
+        ns = np.arange(dim - d)
+        vals = np.exp(0.5 * (logfact[ns] - logfact[ns + d]) - 0.5 * x) * eval_genlaguerre(ns, d, x)
+        mat[ns + d, ns] = vals * alpha**d
+        mat[ns, ns + d] = vals * (-alpha.conjugate()) ** d
+    return mat
+
+
+@pytest.mark.parametrize("dim", [12, 30, 60])
+def test_displacement_matches_laguerre_closed_form(dim):
+    rng = np.random.default_rng(dim)
+    radii = np.sqrt(rng.uniform(0.0, 200.0, 8))
+    angles = rng.uniform(0.0, 2.0 * math.pi, 8)
+    for r, phi in zip(radii, angles):
+        pt = (r * math.cos(phi), r * math.sin(phi))
+        gap = np.max(np.abs(displacement_matrix(pt, dim) - _laguerre_closed_form(pt, dim)))
+        assert gap <= 1e-13
+
+
+def _mpmath_entry(m, n, pt):
+    # <h_m|W|h_n> at 60 digits; entries above the diagonal via W* = W(-pt)
+    if m < n:
+        return (-1) ** (n - m) * _mpmath_entry(n, m, pt).conjugate()
+    with mpmath.workdps(60):
+        a = mpmath.mpc(*pt) / mpmath.sqrt(2)
+        x = abs(a) ** 2
+        val = (mpmath.sqrt(mpmath.factorial(n) / mpmath.factorial(m)) * a ** (m - n)
+               * mpmath.exp(-x / 2) * mpmath.laguerre(n, m - n, x))
+        return complex(val)
+
+
+@pytest.mark.parametrize("pt", [(7.0, 7.0), (10.0, 10.0)])
+def test_displacement_at_documented_extreme(pt):
+    w = displacement_matrix(pt, 400)
+    assert np.all(np.isfinite(w))
+    alpha = complex(*pt) / math.sqrt(2.0)
+    coherent = np.empty(400, dtype=complex)
+    coherent[0] = math.exp(-0.5 * abs(alpha) ** 2)
+    for m in range(399):
+        coherent[m + 1] = coherent[m] * alpha / math.sqrt(m + 1)
+    np.testing.assert_allclose(w[:, 0], coherent, rtol=0, atol=1e-12)
+    corners_and_bulk = [(0, 0), (399, 0), (0, 399), (399, 399), (1, 0), (0, 1),
+                        (398, 399), (230, 170), (170, 230), (120, 5), (5, 120)]
+    for m, n in corners_and_bulk:
+        assert abs(w[m, n] - _mpmath_entry(m, n, pt)) < 1e-13
+
+
+def _padded_gk_oracle(state, kernel, pt, big=140):
+    # tr[rho W K W*] with W from expm on a basis padded well past dim
+    dim = state.dim
+    rho = np.zeros((big, big), dtype=complex)
+    rho[:dim, :dim] = state.matrix
+    kmat = np.zeros((big, big), dtype=complex)
+    kmat[:dim, :dim] = kernel.matrix
+    q, p = pt
+    off = np.sqrt(np.arange(1, big) / 2.0)
+    qm = np.diag(off, 1) + np.diag(off, -1)
+    pm = 1j * (np.diag(off, -1) - np.diag(off, 1))
+    w = expm(1j * (p * qm - q * pm))
+    return float(np.trace(rho @ w @ kmat @ w.conj().T).real)
 
 
 def test_gk_density_against_exponential_oracle(rng, random_mixed):
     state = random_mixed(rng, 6)
     kernel = number_state(1, 6)
-    pts = [(0.0, 0.0), (1.1, 0.6), (-0.9, 1.4)]
-    big = 140
-    rho = np.zeros((big, big), dtype=complex)
-    rho[:6, :6] = state.matrix
-    kmat = np.zeros((big, big), dtype=complex)
-    kmat[:6, :6] = kernel.matrix
-    for q, p in pts:
-        off = np.sqrt(np.arange(1, big) / 2.0)
-        qm = np.diag(off, 1) + np.diag(off, -1)
-        pm = 1j * (np.diag(off, -1) - np.diag(off, 1))
-        w = expm(1j * (p * qm - q * pm))
-        ref = float(np.trace(rho @ w @ kmat @ w.conj().T).real)
-        assert abs(gk_density(state, kernel, (q, p)) - ref) < 1e-10
+    for pt in [(0.0, 0.0), (1.1, 0.6), (-0.9, 1.4)]:
+        assert abs(gk_density(state, kernel, pt) - _padded_gk_oracle(state, kernel, pt)) < 1e-10
+
+
+def test_gk_density_mixed_kernel_against_exponential_oracle(rng, random_mixed):
+    # every eigenpair (i, j) of a rank-6 state and a rank-6 kernel in one contraction
+    state = random_mixed(rng, 6)
+    kernel = random_mixed(rng, 6)
+    assert np.linalg.matrix_rank(kernel.matrix) >= 2
+    for pt in [(0.0, 0.0), (1.1, 0.6), (-0.9, 1.4), (2.2, -1.7)]:
+        assert abs(gk_density(state, kernel, pt) - _padded_gk_oracle(state, kernel, pt)) < 1e-10
+
+
+def test_contraction_matches_displacement_matrix(rng, random_mixed):
+    # the pointwise contraction (vectorized over points) and the single-point
+    # matrix (vectorized over diagonals) run one recurrence two ways
+    state = random_mixed(rng, 12)
+    kernel = random_mixed(rng, 12)
+    parity = np.diag((-1.0) ** np.arange(12))
+    pts = rng.uniform(-7.0, 7.0, size=(40, 2))
+    pts = pts[np.sum(pts**2, axis=1) <= 200.0]
+    got_gk = gk_density(state, kernel, (pts[:, 0], pts[:, 1]))
+    got_w = wigner(state, (pts[:, 0] / 2, pts[:, 1] / 2))
+    for (q, p), gk_val, w_val in zip(pts, got_gk, got_w):
+        w = displacement_matrix((q, p), 12)
+        want_gk = np.trace(state.matrix @ w @ kernel.matrix @ w.conj().T).real
+        want_w = np.trace(state.matrix @ w @ parity).real / math.pi
+        assert abs(gk_val - want_gk) < 1e-13
+        assert abs(w_val - want_w) < 1e-13
 
 
 def test_gk_density_normalization():
@@ -89,6 +178,14 @@ def test_gk_density_normalization():
     vals = gk_density(st, kernel, (qa, pa))
     mass = np.trapezoid(np.trapezoid(vals, dx=0.1), dx=0.1) / (2.0 * math.pi)
     assert abs(mass - 1.0) < 1e-6
+
+
+def test_pointwise_densities_reject_nan_points():
+    st = vacuum_state(6)
+    with pytest.raises(DomainError):
+        gk_density(st, st, (math.nan, 0.0))
+    with pytest.raises(DomainError):
+        wigner(st, (np.array([0.0, 1.0]), np.array([math.inf, 0.0])))
 
 
 def test_gk_density_dim_mismatch():
@@ -159,3 +256,20 @@ def test_strip_probability_symmetric_state():
     kernel = number_state(0, 12)
     half = strip_probability(st, kernel, 0.3, IntervalSet.of((0.0, math.inf)))
     assert abs(half - 0.5) < 1e-10
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf])
+def test_marginal_and_strip_reject_non_finite_angle(theta):
+    st = vacuum_state(8)
+    with pytest.raises(DomainError):
+        rotated_marginal_density(st, st, theta, np.array([0.0, 1.0]))
+    with pytest.raises(DomainError):
+        strip_probability(st, st, theta, IntervalSet.of((0.0, 1.0)))
+
+
+def test_marginal_rejects_nan_point():
+    st = vacuum_state(8)
+    with pytest.raises(DomainError):
+        rotated_marginal_density(st, st, 0.3, np.array([0.0, math.nan]))
+    with pytest.raises(DomainError):
+        rotated_marginal_density(st, st, 0.3, math.nan)

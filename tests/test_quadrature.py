@@ -176,3 +176,18 @@ def test_vacuum_density_rotation_invariant():
     ref = np.exp(-(xs**2)) / math.sqrt(math.pi)
     for theta in (0.0, 0.785398, 2.0):
         np.testing.assert_allclose(quadrature_density(st, theta, xs), ref, atol=1e-14)
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf])
+def test_density_and_probability_reject_non_finite_angle(theta):
+    st = vacuum_state(4)
+    with pytest.raises(DomainError):
+        quadrature_density(st, theta, np.array([0.0, 1.0]))
+    with pytest.raises(DomainError):
+        quadrature_probability(st, theta, UNIT)
+
+
+@pytest.mark.parametrize("x", [math.nan, np.array([0.0, math.nan]), np.array([math.inf])])
+def test_density_rejects_non_finite_points(x):
+    with pytest.raises(DomainError):
+        quadrature_density(vacuum_state(4), 0.0, x)
