@@ -18,7 +18,6 @@ _EXPORTS = {
     ],
     "domains": [
         "IntervalSet",
-        "RotatedFrame",
         "GridFunction",
         "uniform_axis",
         "load_grid2d",

@@ -1,4 +1,4 @@
-"""Geometric plumbing: interval sets, rotated frames, sampled grid functions.
+"""Geometric plumbing: interval sets and sampled grid functions.
 
 These are the small value types the numerical routines pass around.  All
 grids are uniform; an axis is described by (lo, hi, step) with the number
@@ -17,7 +17,6 @@ from .errors import CoverageError, DomainError
 
 __all__ = [
     "IntervalSet",
-    "RotatedFrame",
     "GridFunction",
     "uniform_axis",
     "load_grid2d",
@@ -97,31 +96,6 @@ class IntervalSet:
             if a2 < b2:
                 out.append((a2, b2))
         return out
-
-
-@dataclass(frozen=True)
-class RotatedFrame:
-    """Orthonormal frame (e1, e2) obtained by rotating the (q, p) axes."""
-
-    theta: float
-
-    @property
-    def e1(self) -> tuple[float, float]:
-        return (math.cos(self.theta), math.sin(self.theta))
-
-    @property
-    def e2(self) -> tuple[float, float]:
-        return (-math.sin(self.theta), math.cos(self.theta))
-
-    def project(self, q, p):
-        """Coordinate of (q, p) along e1, i.e. the rotated quadrature value."""
-        c, s = self.e1
-        return q * c + p * s
-
-    def point(self, t, s):
-        """Plane point with rotated coordinates (t, s)."""
-        c, sn = self.e1
-        return (t * c - s * sn, t * sn + s * c)
 
 
 @dataclass

@@ -51,6 +51,7 @@ LEAKAGE_WARN = 1e-8
 MAX_POLY_DEGREE = 4000
 MAX_FUNCTION_DEGREE = 2000
 
+_SEED_FLOOR = 1e-297   # h_0 at |x| = 37, near the bottom of double range
 _PANEL_WIDTH = 0.25
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 
@@ -82,7 +83,8 @@ def hermite_basis(n_max: int, x) -> np.ndarray:
     Returns an array of shape (n_max + 1, len(x)).  Uses the normalized
     recurrence h_{k+1} = sqrt(2/(k+1)) x h_k - sqrt(k/(k+1)) h_{k-1},
     which is stable for every k; far outside the support the values
-    underflow gracefully to zero.
+    underflow gracefully to zero.  Points beyond |x| = 37, where the seed
+    h_0 nears the bottom of double range, are redone by :func:`_far_basis`.
     """
     if not 0 <= n_max <= MAX_FUNCTION_DEGREE:
         raise DomainError(f"degree {n_max} outside [0, {MAX_FUNCTION_DEGREE}]")
@@ -96,6 +98,29 @@ def hermite_basis(n_max: int, x) -> np.ndarray:
             math.sqrt(2.0 / (k + 1)) * xa * out[k]
             - math.sqrt(k / (k + 1)) * out[k - 1]
         )
+    if xa.size and out[0].min() < _SEED_FLOOR:
+        far = out[0] < _SEED_FLOOR
+        out[:, far] = _far_basis(n_max, xa[far])
+    return out
+
+
+def _far_basis(n_max: int, x: np.ndarray) -> np.ndarray:
+    """hermite_basis with a power-of-two exponent carried per point, for
+    points where exp(-x^2/2) underflows: the recurrence runs on mantissas
+    that are rescaled whenever they grow past 2^500."""
+    half = 0.5 * x * x / math.log(2.0)            # h_0 = pi^(-1/4) 2^(-half)
+    expo = -np.ceil(half).astype(int)
+    out = np.empty((n_max + 1, x.size))
+    prev, cur = np.zeros(x.size), np.pi ** -0.25 * np.exp2(-half - expo)
+    out[0] = np.ldexp(cur, expo)
+    for k in range(n_max):
+        prev, cur = cur, math.sqrt(2.0 / (k + 1)) * x * cur - math.sqrt(k / (k + 1)) * prev
+        big = np.abs(cur) > 2.0**500
+        if big.any():
+            cur[big] = np.ldexp(cur[big], -500)
+            prev[big] = np.ldexp(prev[big], -500)
+            expo[big] += 500
+        out[k + 1] = np.ldexp(cur, expo)
     return out
 
 

@@ -16,6 +16,11 @@ so nothing leaves double range on the documented domain dim <= 400,
 q^2 + p^2 <= 200.  The entries are exact, so traces against finitely
 supported states carry no truncation bias.  A matrix-exponential route
 exp(i(pQ - qP)) is kept as an independent cross-check.
+
+A rotated marginal convolves two quadrature densities, each exp(-x^2)
+times a polynomial, so a Gauss-Hermite rule (Golub-Welsch nodes, weights
+w e^(u^2) as reciprocal Christoffel sums of Hermite functions, which stay
+in double range) gives it exactly, with no grid or cut-off to tune.
 """
 
 from __future__ import annotations
@@ -24,12 +29,13 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import eigvalsh_tridiagonal, expm
 
 from .domains import IntervalSet, _require_finite
 from .errors import DomainError
-from .fock import TruncatedState, rotate_state, _panel_rule, _support_bound
-from .quadrature import _quadrature_density, quadrature_density, quadrature_matrix
+from .fock import TruncatedState, hermite_basis, _panel_rule, _support_bound
+# quadrature_density stays importable from here: the benchmark's tracer test reads it
+from .quadrature import _quadrature_density, quadrature_density, quadrature_matrix  # noqa: F401
 
 __all__ = [
     "PhasePoint",
@@ -44,11 +50,8 @@ __all__ = [
 MAX_DISPLACEMENT_DIM = 400
 MAX_RADIUS_SQ = 200.0
 
-MARGINAL_EXTENT = 12.0
-MARGINAL_STEP = 0.005
-
 _EIGENVALUE_CUT = 1e-14
-_MARGINAL_CHUNK = 200_000   # points of kernel density per marginal row chunk
+_MARGINAL_CHUNK = 1 << 21   # Hermite values per marginal row chunk
 _BLOCK = 8192             # points per block of the displacement engine
 _BLOCK_CELLS = 1 << 20    # cap on coefficient rows x points in one block
 
@@ -85,7 +88,7 @@ def _contract_displacement(pt, coeffs: np.ndarray, reduce):
     re + i im = sum_{m,n} <h_m|W(q,p)|h_n> coeffs[r, m, n] in row r; a float
     for a single point.  Diagonal d folds its lower and upper coefficients
     into one real (4 rows, dim - d) weight matrix: one recurrence and one
-    gemm per diagonal."""
+    gemm per diagonal that holds a nonzero coefficient."""
     qa, pa = np.broadcast_arrays(*(_require_finite("phase points", np.asarray(c, float)) for c in pt))
     alphas = ((qa + 1j * pa) / math.sqrt(2.0)).ravel()
     rows, dim, _ = coeffs.shape
@@ -96,6 +99,7 @@ def _contract_displacement(pt, coeffs: np.ndarray, reduce):
         lo = np.diagonal(coeffs, -d, axis1=1, axis2=2)    # coeffs[r, n+d, n]
         up = (-1) ** d * np.diagonal(coeffs, d, axis1=1, axis2=2) if d else 0.0
         weights.append(np.concatenate([(lo + up).real, (up - lo).imag, (lo + up).imag, (lo - up).real]))
+    live = [w.any() for w in weights]      # all-zero diagonals skip recurrence and gemm
     block = max(1, min(_BLOCK, _BLOCK_CELLS // rows))
     out = np.empty(alphas.size)
     for start in range(0, alphas.size, block):
@@ -108,6 +112,8 @@ def _contract_displacement(pt, coeffs: np.ndarray, reduce):
             if d:
                 head *= alpha
                 head *= 1.0 / math.sqrt(d)
+            if not live[d]:
+                continue
             terms = (weights[d] @ _laguerre_rows(shift, d, dim - d)).reshape(2, 2, rows, -1)
             terms[:, 0] *= head.real
             terms[:, 1] *= head.imag
@@ -169,81 +175,68 @@ def gk_density(state: TruncatedState, kernel: TruncatedState, pt):
     return _contract_displacement(pt, coeffs, lambda re, im: pair_weights @ (re * re + im * im))
 
 
-def _marginal_kernel_state(kernel: TruncatedState, theta: float) -> TruncatedState:
-    """The kernel rotated by pi - theta (parity composed with rotation by -theta)."""
-    return rotate_state(kernel, math.pi - theta)
+def _trimmed(state: TruncatedState) -> TruncatedState:
+    """The state on its levels up to the highest one holding a nonzero entry."""
+    live = state.matrix != 0
+    top = int(np.flatnonzero(live.any(axis=0) | live.any(axis=1))[-1])
+    return state if top == state.dim - 1 else TruncatedState(top + 1, state.matrix[: top + 1, : top + 1])
 
 
-def rotated_marginal_density(
-    state: TruncatedState,
-    kernel: TruncatedState,
-    theta: float,
-    t,
-    *,
-    extent: float = MARGINAL_EXTENT,
-    step: float = MARGINAL_STEP,
-):
+def _hermite_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Hermite nodes u (Golub-Welsch) and lam = w e^(u^2), taken as
+    the reciprocal Christoffel function 1 / sum_{k<n} h_k(u)^2."""
+    u = eigvalsh_tridiagonal(np.zeros(n), np.sqrt(np.arange(1.0, n) / 2.0))
+    basis = hermite_basis(n - 1, u)
+    return u, 1.0 / np.einsum("ki,ki->i", basis, basis)
+
+
+def rotated_marginal_density(state: TruncatedState, kernel: TruncatedState, theta: float, t):
     """Density of the rotated marginal of the covariant observable.
 
-    This is the convolution of the quadrature density of the state at
-    angle theta with the position density of the kernel rotated by
-    pi - theta: an unsharp quadrature measurement.  The convolution is a
-    direct trapezoid sum on |x| <= extent, which resolves states of
-    dimension up to about 40 to 1e-12.
+    This is the convolution M(t) = int p(x) k(t - x) dx of the quadrature
+    density p of the state at angle theta with the position density k of
+    the kernel rotated by pi - theta (its quadrature density at theta - pi):
+    an unsharp quadrature measurement.  With n_s and n_k the highest levels
+    holding a nonzero entry, n_s + n_k + 1 Gauss-Hermite nodes give it
+    exactly, M(t) = (1/sqrt(2)) sum_i lam_i p(t/2 + u_i/sqrt(2)) k(t/2 - u_i/sqrt(2)).
     """
-    ta = _require_finite("t", np.atleast_1d(np.asarray(t, dtype=float)))
-    xs = np.arange(-extent, extent + 0.5 * step, step)
-    weights = np.full(xs.size, step)
-    weights[0] = weights[-1] = 0.5 * step
-    source = quadrature_density(state, theta, xs) * weights
-    kprime = _marginal_kernel_state(kernel, theta)
-
-    out = np.empty(ta.size)
-    rows = max(1, _MARGINAL_CHUNK // xs.size)
-    reach = _support_bound(kernel.dim - 1)
-    for start in range(0, ta.size, rows):
-        tb = ta[start : start + rows]
-        pts = (tb[:, None] - xs[None, :]).ravel()
-        kv = np.zeros(pts.size)
-        inside = np.abs(pts) <= reach     # the density underflows beyond
-        if np.any(inside):
-            kv[inside] = _quadrature_density(kprime, 0.0, pts[inside])
-        out[start : start + rows] = kv.reshape(tb.size, xs.size) @ source
-    if np.isscalar(t) or np.asarray(t).ndim == 0:
-        return float(out[0])
-    return out.reshape(np.asarray(t).shape)
+    ta = _require_finite("t", np.asarray(t, dtype=float))
+    src, ker = _trimmed(state), _trimmed(kernel)
+    u, lam = _hermite_rule(src.dim + ker.dim - 1)
+    half, lam = u / math.sqrt(2.0), lam / math.sqrt(2.0)
+    flat = ta.ravel()
+    out = np.empty(flat.size)
+    rows = max(1, _MARGINAL_CHUNK // (u.size * max(src.dim, ker.dim)))
+    for start in range(0, flat.size, rows):
+        mid = 0.5 * flat[start : start + rows, None]
+        vals = (_quadrature_density(src, theta, (mid + half).ravel())
+                * _quadrature_density(ker, theta - math.pi, (mid - half).ravel()))
+        out[start : start + rows] = vals.reshape(-1, u.size) @ lam
+    out = out.reshape(ta.shape)
+    return float(out) if out.ndim == 0 else out
 
 
-def cartesian_marginal_density(state, kernel, axis: str, t, **kw):
+def cartesian_marginal_density(state, kernel, axis: str, t):
     """Position (axis='q') or momentum (axis='p') marginal; the theta = 0
     or pi/2 special case of :func:`rotated_marginal_density`."""
     if axis == "q":
-        return rotated_marginal_density(state, kernel, 0.0, t, **kw)
+        return rotated_marginal_density(state, kernel, 0.0, t)
     if axis == "p":
-        return rotated_marginal_density(state, kernel, math.pi / 2.0, t, **kw)
+        return rotated_marginal_density(state, kernel, math.pi / 2.0, t)
     raise DomainError(f"axis must be 'q' or 'p', got {axis!r}")
 
 
-def strip_probability(
-    state: TruncatedState,
-    kernel: TruncatedState,
-    theta: float,
-    X: IntervalSet,
-    *,
-    extent: float = MARGINAL_EXTENT,
-    step: float = MARGINAL_STEP,
-) -> float:
+def strip_probability(state: TruncatedState, kernel: TruncatedState, theta: float, X: IntervalSet) -> float:
     """Probability that the rotated coordinate falls in X: the measure of
     the strip over X in the rotated frame.
 
-    Integrates the rotated marginal over X with Gauss-Legendre panels;
-    the marginal is negligible outside |t| <= 2 * extent.
+    Integrates the rotated marginal over X with Gauss-Legendre panels.  The
+    marginal is the law of a sum of the two quadratures, so it is negligible
+    outside the sum of their support bounds.
     """
-    bound = 2.0 * extent
+    _require_finite("theta", theta)
+    bound = _support_bound(_trimmed(state).dim - 1) + _support_bound(_trimmed(kernel).dim - 1)
     nodes, ws = _panel_rule(X.clipped(-bound, bound))
     if nodes.size == 0:
         return 0.0
-    m_vals = rotated_marginal_density(
-        state, kernel, theta, nodes, extent=extent, step=step
-    )
-    return min(1.0, max(0.0, float(np.dot(ws, m_vals))))
+    return min(1.0, max(0.0, float(np.dot(ws, rotated_marginal_density(state, kernel, theta, nodes)))))

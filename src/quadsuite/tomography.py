@@ -195,7 +195,7 @@ class QuadratureDataset:
 
     ``values[j, i]`` is the density at angle theta_j and point x_i, where
     the x grid is the uniform axis described by ``x_axis``.  Rows must be
-    nonnegative (to -1e-10) and integrate to one within 1e-6.
+    finite, nonnegative (to -1e-10) and integrate to one within 1e-6.
     """
 
     angles: int
@@ -211,6 +211,8 @@ class QuadratureDataset:
                 f"values shape {self.values.shape} does not match "
                 f"{self.angles} angles x {xs.size} points"
             )
+        if not np.isfinite(self.values).all():
+            raise DomainError("densities must be finite (NaN or infinite sample)")
         if float(self.values.min()) < -1e-10:
             raise DomainError("densities must be nonnegative")
         masses = np.trapezoid(self.values, dx=self.x_axis[2], axis=1)

@@ -178,6 +178,23 @@ def test_exit_code_nan_angle(capsys):
     assert "Traceback" not in err
 
 
+def test_exit_code_dataset_with_nan(tmp_path, capsys):
+    dataset = tmp_path / "data.txt"
+    code, _, _ = run_cli(
+        capsys, "tomo-generate", "--state", "number:1", "--dim", "4",
+        "--angles", "8", "--output", str(dataset),
+    )
+    assert code == 0
+    lines = dataset.read_text().splitlines()
+    lines[1] = "nan " + lines[1].split(" ", 1)[1]
+    dataset.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(capsys, "tomo-reconstruct", "--input", str(dataset), "--dim", "4")
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+    assert "Traceback" not in err
+
+
 def test_exit_code_numerical_contract(capsys):
     code, _, err = run_cli(
         capsys, "radon", "--state", "coherent:2.5,0", "--dim", "32",

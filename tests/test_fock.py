@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -61,6 +62,24 @@ def test_hermite_function_high_order_stays_bounded():
     assert np.max(np.abs(vals)) < np.pi ** -0.25 + 1e-12
     outside = np.abs(xs) > _support_bound(1500)
     assert np.max(np.abs(vals[outside])) < 1e-12
+
+
+def _mpmath_hermite_function(n, x):
+    with mpmath.workdps(50):
+        x = mpmath.mpf(x)
+        norm = mpmath.sqrt(2**n * mpmath.factorial(n) * mpmath.sqrt(mpmath.pi))
+        return float(mpmath.hermite(n, x) * mpmath.exp(-x * x / 2) / norm)
+
+
+@pytest.mark.parametrize("n, x", [(1000, 40.0), (2000, 45.0), (2000, -45.0), (1500, 38.0), (800, 36.9)])
+def test_hermite_basis_beyond_seed_underflow(n, x):
+    # past |x| ~ 38.6 the seed exp(-x^2/2) underflows, yet h_n(x) is O(0.1)
+    # for n near x^2/2; the whole column must keep its relative accuracy
+    column = hermite_basis(n, np.array([x, 0.5]))[:, 0]
+    for k in (n, n - 1, n // 2, 1):
+        want = _mpmath_hermite_function(k, x)
+        assert abs(column[k] - want) <= 1e-12 * abs(want) + 1e-300
+    assert np.all(np.isfinite(column))
 
 
 def test_hermite_basis_consistent_with_single_calls():

@@ -1,9 +1,10 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
-from scipy.integrate import simpson
+from scipy.integrate import quad_vec, simpson
 from scipy.linalg import expm
 from scipy.special import eval_genlaguerre, gammaln
 
@@ -16,12 +17,17 @@ from quadsuite import (
     displacement_matrix_expm,
     gk_density,
     number_state,
+    pure_state,
+    quadrature_density,
+    rotate_state,
     rotated_marginal_density,
+    squeezed_state,
     strip_probability,
     uniform_axis,
     vacuum_state,
     wigner,
 )
+from quadsuite.fock import _panel_rule
 
 
 def _interior_displacement(pt, dim, pad=120):
@@ -152,22 +158,35 @@ def test_gk_density_mixed_kernel_against_exponential_oracle(rng, random_mixed):
         assert abs(gk_density(state, kernel, pt) - _padded_gk_oracle(state, kernel, pt)) < 1e-10
 
 
-def test_contraction_matches_displacement_matrix(rng, random_mixed):
-    # the pointwise contraction (vectorized over points) and the single-point
-    # matrix (vectorized over diagonals) run one recurrence two ways
-    state = random_mixed(rng, 12)
-    kernel = random_mixed(rng, 12)
-    parity = np.diag((-1.0) ** np.arange(12))
-    pts = rng.uniform(-7.0, 7.0, size=(40, 2))
+def _assert_contraction_matches_matrix(state, kernel, pts):
+    parity = np.diag((-1.0) ** np.arange(state.dim))
     pts = pts[np.sum(pts**2, axis=1) <= 200.0]
     got_gk = gk_density(state, kernel, (pts[:, 0], pts[:, 1]))
     got_w = wigner(state, (pts[:, 0] / 2, pts[:, 1] / 2))
     for (q, p), gk_val, w_val in zip(pts, got_gk, got_w):
-        w = displacement_matrix((q, p), 12)
+        w = displacement_matrix((q, p), state.dim)
         want_gk = np.trace(state.matrix @ w @ kernel.matrix @ w.conj().T).real
         want_w = np.trace(state.matrix @ w @ parity).real / math.pi
         assert abs(gk_val - want_gk) < 1e-13
         assert abs(w_val - want_w) < 1e-13
+
+
+def test_contraction_matches_displacement_matrix(rng, random_mixed):
+    # the pointwise contraction (vectorized over points) and the single-point
+    # matrix (vectorized over diagonals) run one recurrence two ways
+    state, kernel = random_mixed(rng, 12), random_mixed(rng, 12)
+    _assert_contraction_matches_matrix(state, kernel, rng.uniform(-7.0, 7.0, size=(40, 2)))
+
+
+@pytest.mark.parametrize("state, kernel", [
+    (number_state(2, 12), number_state(5, 12)),
+    (squeezed_state(0.6, 0.3, 12), vacuum_state(12)),
+    (squeezed_state(0.4, 1.1, 12), number_state(3, 12)),
+], ids=["number-pair", "squeezed-vacuum", "squeezed-number"])
+def test_contraction_with_zero_diagonals_matches_displacement_matrix(rng, state, kernel):
+    # a number pair fills one coefficient diagonal and a squeezed vacuum only
+    # the even ones; skipping the empty diagonals must not move a value
+    _assert_contraction_matches_matrix(state, kernel, rng.uniform(-7.0, 7.0, size=(30, 2)))
 
 
 def test_gk_density_normalization():
@@ -207,6 +226,73 @@ def test_marginal_normalization(rng, random_pure):
     xs = uniform_axis(-10.0, 10.0, 0.01)
     vals = rotated_marginal_density(st, kernel, 1.1, xs)
     assert abs(np.trapezoid(vals, dx=0.01) - 1.0) < 1e-8
+
+
+def test_marginal_exact_against_adaptive_quadrature(rng, random_pure):
+    # M(t) = int p(x) k(t - x) dx, with k the position density of the kernel
+    # rotated by pi - theta, by adaptive quadrature on all t at once
+    st = random_pure(rng, 40, 40)
+    kernel = random_pure(rng, 3, 40)
+    theta = 0.7
+    ts = np.array([-3.1, -0.4, 0.0, 1.7, 4.4])
+    kprime = rotate_state(kernel, math.pi - theta)
+    integrand = lambda x: quadrature_density(st, theta, x) * quadrature_density(kprime, 0.0, ts - x)
+    want, _ = quad_vec(integrand, -25.0, 25.0, epsabs=1e-15, epsrel=1e-12, limit=2000)
+    got = rotated_marginal_density(st, kernel, theta, ts)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_marginal_of_far_coherent_state_is_shifted_normal():
+    # the state sits near sqrt(2) 9 = 12.7, past any fixed |x| <= 12 window;
+    # dim 160 keeps the truncation of the coherent state itself below 1e-14
+    st = coherent_state(9.0, 160)
+    kernel = vacuum_state(160)
+    for theta in (0.0, 0.4):
+        mean = math.sqrt(2.0) * 9.0 * math.cos(theta)
+        ts = mean + np.array([-2.0, -0.7, 0.0, 0.3, 1.5])
+        want = np.exp(-0.5 * (ts - mean) ** 2) / math.sqrt(2.0 * math.pi)
+        np.testing.assert_allclose(rotated_marginal_density(st, kernel, theta, ts), want, rtol=0, atol=1e-10)
+
+
+def test_strip_probability_of_far_coherent_state_holds_unit_mass():
+    st = coherent_state(9.0, 160)
+    kernel = vacuum_state(160)
+    mean = math.sqrt(2.0) * 9.0 * math.cos(0.4)
+    # N(mean, 1) leaves 2.6e-12 of its mass outside mean +- 7
+    prob = strip_probability(st, kernel, 0.4, IntervalSet.of((mean - 7.0, mean + 7.0)))
+    assert abs(prob - 1.0) < 1e-10
+
+
+def test_marginal_of_padded_state_equals_unpadded(rng):
+    amps = rng.normal(size=12) + 1j * rng.normal(size=12)
+    kamps = rng.normal(size=3) + 1j * rng.normal(size=3)
+    ts = uniform_axis(-8.0, 8.0, 0.25)
+    window = IntervalSet.of((-0.6, 0.9))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        big = rotated_marginal_density(pure_state(amps, 400), pure_state(kamps, 400), 0.9, ts)
+        big_strip = strip_probability(pure_state(amps, 400), pure_state(kamps, 400), 0.9, window)
+    small = rotated_marginal_density(pure_state(amps, 12), pure_state(kamps, 12), 0.9, ts)
+    assert np.all(np.isfinite(big))
+    np.testing.assert_allclose(big, small, rtol=0, atol=1e-13)
+    small_strip = strip_probability(pure_state(amps, 12), pure_state(kamps, 12), 0.9, window)
+    assert abs(big_strip - small_strip) < 1e-13
+
+
+def test_marginal_of_top_level_pair_against_panel_oracle():
+    # n_s + n_k = 798 puts the outer Gauss-Hermite nodes near |u| = 40, where
+    # the seed exp(-u^2/2) of the Hermite recurrence underflows
+    st = number_state(399, 400)
+    kernel = number_state(399, 400)
+    ts = np.array([0.0, 0.37, 5.1, -17.3, 30.2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = rotated_marginal_density(st, kernel, 0.6, ts)
+    xs, ws = _panel_rule([(-40.0, 40.0)])
+    dens = quadrature_density(st, 0.6, xs)
+    kprime = rotate_state(kernel, math.pi - 0.6)
+    want = [np.dot(ws, dens * quadrature_density(kprime, 0.0, t - xs)) for t in ts]
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 def test_cartesian_marginals_match_rotated():

@@ -116,6 +116,11 @@ def test_dataset_validation():
         QuadratureDataset(4, xs_axis, negative)
     with pytest.raises(DomainError):
         QuadratureDataset(5, xs_axis, good.values)
+    for bad in (math.nan, math.inf):
+        non_finite = good.values.copy()
+        non_finite[3, 0] = bad
+        with pytest.raises(DomainError, match="finite"):
+            QuadratureDataset(4, xs_axis, non_finite)
 
 
 def test_dataset_roundtrip_through_file(tmp_path):
@@ -126,6 +131,20 @@ def test_dataset_roundtrip_through_file(tmp_path):
     assert back.angles == 8
     assert back.x_axis == data.x_axis
     np.testing.assert_allclose(back.values, data.values, atol=1e-13)
+
+
+def test_load_dataset_refuses_nan_sample(tmp_path):
+    # NaN passes both the negativity and the mass check unless tested for
+    data = generate_dataset(number_state(1, 4), 4, (-8.0, 8.0, 0.01))
+    path = tmp_path / "set.txt"
+    save_dataset(data, path)
+    lines = path.read_text().splitlines()
+    row = lines[2].split()
+    row[100] = "nan"
+    lines[2] = " ".join(row)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DomainError, match="finite"):
+        load_dataset(path)
 
 
 def test_dataset_header_check(tmp_path):
