@@ -20,11 +20,8 @@ _EXPORTS = {
         "IntervalSet",
         "GridFunction",
         "uniform_axis",
-        "load_grid2d",
-        "save_grid2d",
     ],
     "fock": [
-        "hermite_polynomial",
         "hermite_function",
         "hermite_basis",
         "overlap",
@@ -44,7 +41,6 @@ _EXPORTS = {
         "save_state",
     ],
     "quadrature": [
-        "QuadratureMatrix",
         "quadrature_matrix",
         "quadrature_density",
         "quadrature_probability",
@@ -56,9 +52,7 @@ _EXPORTS = {
         "complementarity_summary",
     ],
     "phase_space": [
-        "PhasePoint",
         "displacement_matrix",
-        "displacement_matrix_expm",
         "gk_density",
         "rotated_marginal_density",
         "cartesian_marginal_density",

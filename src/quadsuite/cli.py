@@ -25,6 +25,7 @@ _THREAD_VARS = (
     "NUMEXPR_NUM_THREADS",
 )
 
+# help text only: quadsuite.make_state parses the specs
 STATE_GRAMMAR = "vacuum | number:<n> | coherent:<re>,<im> | squeezed:<r>,<phi> | file:<path>"
 
 
@@ -164,28 +165,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _make_state(lib, spec: str, dim: int):
-    kind, _, rest = spec.partition(":")
-    try:
-        if kind == "vacuum" and not rest:
-            return lib.vacuum_state(dim)
-        if kind == "number":
-            return lib.number_state(int(rest), dim)
-        if kind == "coherent":
-            re, im = (float(tok) for tok in rest.split(","))
-            return lib.coherent_state(complex(re, im), dim)
-        if kind == "squeezed":
-            r, phi = (float(tok) for tok in rest.split(","))
-            return lib.squeezed_state(r, phi, dim)
-        if kind == "file" and rest:
-            return lib.load_state(rest)
-    except lib.StateValidationError:
-        raise
-    except (ValueError, OSError) as exc:
-        raise _ConfigError(f"bad state spec {spec!r}: {exc}") from exc
-    raise _ConfigError(f"state spec {spec!r} does not match {STATE_GRAMMAR}")
-
-
 class _ConfigError(Exception):
     pass
 
@@ -212,21 +191,21 @@ def _run(args) -> tuple[list[dict], object]:
     import quadsuite as lib
 
     if args.command == "quad-density":
-        state = _make_state(lib, args.state, args.dim)
+        state = lib.make_state(args.state, args.dim)
         xs = lib.uniform_axis(*args.grid)
         dens = lib.quadrature_density(state, args.theta, xs)
         rows = [{"x": x, "density": d} for x, d in zip(xs, dens)]
         return rows, rows
 
     if args.command == "wigner":
-        state = _make_state(lib, args.state, args.dim)
+        state = lib.make_state(args.state, args.dim)
         extent, step = _square_extent(args.grid)
         grid = lib.wigner_grid(state, extent=extent, step=step)
         rows = list(_grid_rows(grid))
         return rows, rows
 
     if args.command == "radon":
-        state = _make_state(lib, args.state, args.dim)
+        state = lib.make_state(args.state, args.dim)
         grid = lib.wigner_grid(state, extent=args.extent, step=args.step)
         xs = lib.uniform_axis(*args.grid)
         slice_vals = lib.radon(grid, args.theta, xs)
@@ -238,16 +217,16 @@ def _run(args) -> tuple[list[dict], object]:
         return rows, rows
 
     if args.command == "gk-density":
-        state = _make_state(lib, args.state, args.dim)
-        kernel = _make_state(lib, args.kernel, args.dim)
+        state = lib.make_state(args.state, args.dim)
+        kernel = lib.make_state(args.kernel, args.dim)
         extent, step = _square_extent(args.grid)
         grid = lib.gk_grid(state, kernel, extent=extent, step=step)
         rows = list(_grid_rows(grid))
         return rows, rows
 
     if args.command == "strip-prob":
-        state = _make_state(lib, args.state, args.dim)
-        kernel = _make_state(lib, args.kernel, args.dim)
+        state = lib.make_state(args.state, args.dim)
+        kernel = lib.make_state(args.kernel, args.dim)
         window = lib.IntervalSet.of(*args.intervals)
         prob = lib.strip_probability(state, kernel, args.theta, window)
         text = ";".join(f"{a:g},{b:g}" for a, b in args.intervals)
@@ -255,7 +234,7 @@ def _run(args) -> tuple[list[dict], object]:
         return rows, rows
 
     if args.command == "tomo-generate":
-        state = _make_state(lib, args.state, args.dim)
+        state = lib.make_state(args.state, args.dim)
         data = lib.generate_dataset(state, args.angles, args.grid)
         buf = io.StringIO()
         lib.save_dataset(data, buf)
@@ -273,7 +252,7 @@ def _run(args) -> tuple[list[dict], object]:
             "fit_residual": rec.meta["fit_residual"],
         }
         if args.reference:
-            ref = _make_state(lib, args.reference, args.dim)
+            ref = lib.make_state(args.reference, args.dim)
             import numpy as np
 
             row["frobenius_error"] = float(
@@ -290,7 +269,7 @@ def _run(args) -> tuple[list[dict], object]:
         return rows, rows
 
     if args.command == "moments-demo":
-        state = _make_state(lib, args.state, args.dim)
+        state = lib.make_state(args.state, args.dim)
         report = lib.sequential_demo(
             state, args.theta, args.mu_var, args.nu_var, args.k_max
         )

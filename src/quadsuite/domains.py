@@ -19,8 +19,6 @@ __all__ = [
     "IntervalSet",
     "GridFunction",
     "uniform_axis",
-    "load_grid2d",
-    "save_grid2d",
 ]
 
 
@@ -73,20 +71,9 @@ class IntervalSet:
     def full_line(cls) -> "IntervalSet":
         return cls(((-math.inf, math.inf),))
 
-    def lebesgue(self) -> float:
-        return sum(b - a for a, b in self.intervals)
-
     @property
     def is_bounded(self) -> bool:
         return all(math.isfinite(a) and math.isfinite(b) for a, b in self.intervals)
-
-    def indicator(self, x: np.ndarray) -> np.ndarray:
-        """1.0 where x lies in the set, 0.0 elsewhere (half-open [a, b))."""
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for a, b in self.intervals:
-            out = np.where((x >= a) & (x < b), 1.0, out)
-        return out
 
     def clipped(self, lo: float, hi: float) -> list[tuple[float, float]]:
         """Intersection with [lo, hi] as a list of finite intervals."""
@@ -156,33 +143,3 @@ class GridFunction:
                 f"grid boundary reaches {worst:.3e} > {tol:.1e}; enlarge the grid"
             )
 
-
-def save_grid2d(grid: GridFunction, path) -> None:
-    """Write a 2D grid in the plain-text dump format.
-
-    Header line ``# q_min q_max p_min p_max step`` followed by one row of
-    samples per q value.  Both axes must share the same step.
-    """
-    if grid.ndim != 2:
-        raise DomainError("save_grid2d needs a 2D grid")
-    (q0, q1, hq), (p0, p1, hp) = grid.axes
-    if abs(hq - hp) > 1e-15:
-        raise DomainError("dump format requires equal steps on both axes")
-    with open(path, "w") as fh:
-        fh.write(f"# {q0:.12e} {q1:.12e} {p0:.12e} {p1:.12e} {hq:.12e}\n")
-        for row in grid.values:
-            fh.write(" ".join(f"{v:.12e}" for v in row) + "\n")
-
-
-def load_grid2d(path) -> GridFunction:
-    """Read a 2D grid written by :func:`save_grid2d`."""
-    with open(path) as fh:
-        header = fh.readline()
-        if not header.startswith("#"):
-            raise DomainError("missing grid header line")
-        try:
-            q0, q1, p0, p1, h = (float(tok) for tok in header[1:].split())
-        except ValueError as exc:
-            raise DomainError(f"malformed grid header: {header!r}") from exc
-        values = np.loadtxt(fh, ndmin=2)
-    return GridFunction(((q0, q1, h), (p0, p1, h)), values)

@@ -23,7 +23,6 @@ from .domains import IntervalSet, _require_finite
 from .errors import DomainError, StateValidationError
 
 __all__ = [
-    "hermite_polynomial",
     "hermite_function",
     "hermite_basis",
     "overlap",
@@ -48,33 +47,13 @@ TRACE_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
 LEAKAGE_WARN = 1e-8
 
-MAX_POLY_DEGREE = 4000
 MAX_FUNCTION_DEGREE = 2000
 
+_STATE_GRAMMAR = "vacuum | number:<n> | coherent:<re>,<im> | squeezed:<r>,<phi> | file:<path>"
+_STATE_ARITY = {"vacuum": (0,), "number": (1,), "coherent": (1, 2), "squeezed": (2,), "file": (1,)}
 _SEED_FLOOR = 1e-297   # h_0 at |x| = 37, near the bottom of double range
 _PANEL_WIDTH = 0.25
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
-
-
-def hermite_polynomial(n: int, x):
-    """Physicists' Hermite polynomial H_n(x) by three-term recurrence.
-
-    Accepts scalars or arrays.  Raises OverflowError when the values leave
-    double range, and DomainError for n outside [0, 4000].
-    """
-    if not 0 <= n <= MAX_POLY_DEGREE:
-        raise DomainError(f"polynomial degree {n} outside [0, {MAX_POLY_DEGREE}]")
-    xa = np.asarray(x, dtype=float)
-    prev = np.ones_like(xa)
-    if n == 0:
-        return prev if isinstance(x, np.ndarray) else float(prev)
-    cur = 2.0 * xa
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, n):
-            prev, cur = cur, 2.0 * xa * cur - 2.0 * k * prev
-    if not np.all(np.isfinite(cur)):
-        raise OverflowError(f"H_{n} overflows double precision at the given x")
-    return cur if isinstance(x, np.ndarray) else float(cur)
 
 
 def hermite_basis(n_max: int, x) -> np.ndarray:
@@ -85,10 +64,11 @@ def hermite_basis(n_max: int, x) -> np.ndarray:
     which is stable for every k; far outside the support the values
     underflow gracefully to zero.  Points beyond |x| = 37, where the seed
     h_0 nears the bottom of double range, are redone by :func:`_far_basis`.
+    NaN or infinite points raise DomainError.
     """
     if not 0 <= n_max <= MAX_FUNCTION_DEGREE:
         raise DomainError(f"degree {n_max} outside [0, {MAX_FUNCTION_DEGREE}]")
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
+    xa = _require_finite("x", np.atleast_1d(np.asarray(x, dtype=float)))
     out = np.empty((n_max + 1, xa.size), dtype=float)
     out[0] = np.pi ** -0.25 * np.exp(-0.5 * xa * xa)
     if n_max >= 1:
@@ -303,28 +283,42 @@ def state_from_matrix(matrix) -> TruncatedState:
 
 
 def make_state(spec, dim: int) -> TruncatedState:
-    """Dispatch on a structured state description.
+    """Build a state from a spec.
 
-    spec is "vacuum", ("number", n), ("coherent", alpha) or
-    ("coherent", re, im), ("squeezed", r, phi), a 1D coefficient vector,
-    or a square density matrix.
+    A spec is a 1D coefficient vector, a square density matrix, or one of
+    the tuples ("vacuum",), ("number", n), ("coherent", alpha),
+    ("coherent", re, im), ("squeezed", r, phi) and ("file", path), the
+    last read by :func:`load_state`.  A string ``kind[:a,b]`` names the
+    same tuple, with its arguments split at commas; after ``file:`` the
+    whole rest is the path:
+
+        vacuum | number:<n> | coherent:<re>,<im> | squeezed:<r>,<phi> | file:<path>
+
+    An unknown kind, a wrong number of arguments or a malformed number
+    raises DomainError.
     """
     if isinstance(spec, np.ndarray):
         return pure_state(spec, dim) if spec.ndim == 1 else state_from_matrix(spec)
     if isinstance(spec, str):
-        spec = (spec,)
+        kind, colon, rest = spec.partition(":")
+        spec = (kind, rest) if kind == "file" else (kind, *rest.split(",")) if colon else (kind,)
     kind, *args = spec
+    if len(args) not in _STATE_ARITY.get(kind, ()):
+        raise DomainError(f"state spec {spec!r} does not match {_STATE_GRAMMAR}")
+    if kind == "file":
+        return load_state(args[0])
+    parse = int if kind == "number" else complex if len(args) == 1 else float
+    try:
+        nums = [parse(a) for a in args]
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"bad number in state spec {spec!r}: {exc}") from exc
     if kind == "vacuum":
         return vacuum_state(dim)
     if kind == "number":
-        return number_state(int(args[0]), dim)
+        return number_state(*nums, dim)
     if kind == "coherent":
-        if len(args) == 1:
-            return coherent_state(complex(args[0]), dim)
-        return coherent_state(complex(float(args[0]), float(args[1])), dim)
-    if kind == "squeezed":
-        return squeezed_state(float(args[0]), float(args[1]), dim)
-    raise DomainError(f"unknown state kind {kind!r}")
+        return coherent_state(complex(*nums), dim)
+    return squeezed_state(*nums, dim)
 
 
 def gaussian_pure_state(var_q: float, cov_qp: float, dim: int) -> TruncatedState:
@@ -344,12 +338,17 @@ def gaussian_pure_state(var_q: float, cov_qp: float, dim: int) -> TruncatedState
     return squeezed_state(r, phi, dim)
 
 
+def _rotated(matrix: np.ndarray, theta: float) -> np.ndarray:
+    """exp(i theta n) M exp(-i theta m): the square matrix M conjugated by
+    the oscillator rotation.  DomainError unless theta is finite."""
+    _require_finite("theta", theta)
+    phases = np.exp(1j * theta * np.arange(matrix.shape[0]))
+    return phases[:, None] * matrix * phases.conj()
+
+
 def rotate_state(state: TruncatedState, theta: float) -> TruncatedState:
     """Conjugate by the oscillator rotation: entries pick up exp(i(n-m)theta)."""
-    _require_finite("theta", theta)
-    phases = np.exp(1j * theta * np.arange(state.dim))
-    mat = phases[:, None] * state.matrix * phases.conj()[None, :]
-    return TruncatedState(state.dim, mat, leakage=state.leakage)
+    return TruncatedState(state.dim, _rotated(state.matrix, theta), leakage=state.leakage)
 
 
 def parity_conjugate(state: TruncatedState) -> TruncatedState:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError
 from .fock import TruncatedState
-from .quadrature import quadrature_density, quadrature_moment
+from .quadrature import quadrature_moment
 
 __all__ = [
     "MomentSequence",

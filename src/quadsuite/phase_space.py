@@ -14,8 +14,7 @@ forward recurrence g_0 = 1, g_1 = (1+d-x)/sqrt(1+d),
 at O(1) cost per value.  |head_d| <= 1 and |g_n| <= sqrt(C(n+d,n)) e^(x/2),
 so nothing leaves double range on the documented domain dim <= 400,
 q^2 + p^2 <= 200.  The entries are exact, so traces against finitely
-supported states carry no truncation bias.  A matrix-exponential route
-exp(i(pQ - qP)) is kept as an independent cross-check.
+supported states carry no truncation bias.
 
 A rotated marginal convolves two quadrature densities, each exp(-x^2)
 times a polynomial, so a Gauss-Hermite rule (Golub-Welsch nodes, weights
@@ -26,21 +25,18 @@ in double range) gives it exactly, with no grid or cut-off to tune.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal, expm
+from scipy.linalg import eigvalsh_tridiagonal
 
 from .domains import IntervalSet, _require_finite
 from .errors import DomainError
 from .fock import TruncatedState, hermite_basis, _panel_rule, _support_bound
 # quadrature_density stays importable from here: the benchmark's tracer test reads it
-from .quadrature import _quadrature_density, quadrature_density, quadrature_matrix  # noqa: F401
+from .quadrature import _quadrature_density, quadrature_density  # noqa: F401
 
 __all__ = [
-    "PhasePoint",
     "displacement_matrix",
-    "displacement_matrix_expm",
     "gk_density",
     "rotated_marginal_density",
     "cartesian_marginal_density",
@@ -54,15 +50,6 @@ _EIGENVALUE_CUT = 1e-14
 _MARGINAL_CHUNK = 1 << 21   # Hermite values per marginal row chunk
 _BLOCK = 8192             # points per block of the displacement engine
 _BLOCK_CELLS = 1 << 20    # cap on coefficient rows x points in one block
-
-
-class PhasePoint(NamedTuple):
-    q: float
-    p: float
-
-    @property
-    def alpha(self) -> complex:
-        return complex(self.q, self.p) / math.sqrt(2.0)
 
 
 def _laguerre_rows(shift: np.ndarray, d, count: int) -> np.ndarray:
@@ -143,14 +130,6 @@ def displacement_matrix(pt, dim: int) -> np.ndarray:
     mat[m, n] = head[d] * g[n, d]
     mat[n, m] = (-1.0) ** d * head[d].conj() * g[n, d]
     return mat
-
-
-def displacement_matrix_expm(pt, dim: int) -> np.ndarray:
-    """Same operator via expm(i(pQ - qP)); truncation-biased near the corner."""
-    q, p = pt
-    q_mat = quadrature_matrix(0.0, dim).matrix
-    p_mat = quadrature_matrix(math.pi / 2.0, dim).matrix
-    return expm(1j * (p * q_mat - q * p_mat))
 
 
 def _low_rank(state: TruncatedState) -> tuple[np.ndarray, np.ndarray]:

@@ -14,17 +14,15 @@ rotated by -theta; that covariance convention fixes every sign below.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
 
 from .domains import IntervalSet, _require_finite
 from .errors import DomainError
-from .fock import TruncatedState, hermite_basis, overlap_matrix
+from .fock import TruncatedState, _rotated, hermite_basis, overlap_matrix
 
 __all__ = [
-    "QuadratureMatrix",
     "quadrature_matrix",
     "quadrature_density",
     "quadrature_probability",
@@ -40,16 +38,7 @@ MAX_MOMENT_ORDER = 200
 MAX_TRACE_DIM = 400
 
 
-@dataclass(frozen=True)
-class QuadratureMatrix:
-    """Truncated matrix of the quadrature at angle theta."""
-
-    theta: float
-    dim: int
-    matrix: np.ndarray
-
-
-def quadrature_matrix(theta: float, dim: int) -> QuadratureMatrix:
+def quadrature_matrix(theta: float, dim: int) -> np.ndarray:
     """Tridiagonal matrix of Q_theta on the first ``dim`` levels.
 
     Off-diagonal entries: (Q_theta)_{n,n+1} = exp(-i theta) sqrt((n+1)/2)
@@ -59,17 +48,10 @@ def quadrature_matrix(theta: float, dim: int) -> QuadratureMatrix:
         raise DomainError("dim must be positive")
     off = np.sqrt(np.arange(1, dim) / 2.0)
     mat = np.zeros((dim, dim), dtype=complex)
-    upper = off * np.exp(-1j * theta)
+    upper = off * np.exp(-1j * _require_finite("theta", theta))
     mat[np.arange(dim - 1), np.arange(1, dim)] = upper
     mat[np.arange(1, dim), np.arange(dim - 1)] = upper.conj()
-    return QuadratureMatrix(theta, dim, mat)
-
-
-def _counter_rotated(state: TruncatedState, theta: float) -> np.ndarray:
-    """Matrix of the state rotated by -theta (used by density/probability)."""
-    _require_finite("theta", theta)
-    phases = np.exp(-1j * theta * np.arange(state.dim))
-    return phases[:, None] * state.matrix * phases.conj()[None, :]
+    return mat
 
 
 def quadrature_density(state: TruncatedState, theta: float, x):
@@ -84,17 +66,18 @@ def quadrature_density(state: TruncatedState, theta: float, x):
 
 
 def _quadrature_density(state: TruncatedState, theta: float, xa: np.ndarray) -> np.ndarray:
-    """quadrature_density at a flat array of points already known finite."""
-    rho = _counter_rotated(state, theta)
+    """quadrature_density at a flat array of points already known finite.
+
+    The basis is real, so only the real part of the rotated matrix counts."""
+    rho = _rotated(state.matrix, -theta)
     basis = hermite_basis(state.dim - 1, xa)
-    return np.einsum("ni,nm,mi->i", basis, rho, basis, optimize=True).real
+    return np.einsum("ni,ni->i", rho.real @ basis, basis)
 
 
 def quadrature_probability(state: TruncatedState, theta: float, X: IntervalSet) -> float:
     """Probability that Q_theta falls in the interval set X."""
-    rho = _counter_rotated(state, theta)
-    ov = overlap_matrix(X, state.dim)
-    val = float(np.sum(rho * ov).real)
+    rho = _rotated(state.matrix, -theta)
+    val = float(np.sum(rho.real * overlap_matrix(X, state.dim)))
     return min(1.0, max(0.0, val))
 
 
@@ -110,7 +93,7 @@ def quadrature_moment(state: TruncatedState, theta: float, k: int) -> float:
     if k == 0:
         return 1.0
     big = state.dim + k
-    q_th = quadrature_matrix(theta, big).matrix
+    q_th = quadrature_matrix(theta, big)
     power = np.linalg.matrix_power(q_th, k)
     block = power[: state.dim, : state.dim]
     return float(np.sum(state.matrix * block.T).real)
@@ -124,8 +107,8 @@ def commutator_block(theta: float, dim: int) -> np.ndarray:
     """
     if dim < 3:
         raise DomainError("need dim >= 3 for a nonempty commutator block")
-    q = quadrature_matrix(0.0, dim).matrix
-    q_th = quadrature_matrix(theta, dim).matrix
+    q = quadrature_matrix(0.0, dim)
+    q_th = quadrature_matrix(theta, dim)
     comm = q @ q_th - q_th @ q
     return comm[: dim - 2, : dim - 2]
 
@@ -140,37 +123,22 @@ def uncertainty_product(state: TruncatedState, theta: float) -> float:
     return var[0] * var[1]
 
 
-def trace_pair(
-    X: IntervalSet,
-    Y: IntervalSet,
-    theta: float,
-    dim: int,
-    *,
-    inner_dim: int | None = None,
-) -> float:
+def trace_pair(X: IntervalSet, Y: IntervalSet, theta: float, dim: int) -> float:
     """Partial trace sum_{n<dim} <h_n| Q(X) Q_theta(Y) |h_n>.
 
     Decreases monotonically toward lambda(X) lambda(Y) / (2 pi |sin theta|)
     as the dimension grows (about 0.07% high at dim = 200 for unit
-    intervals at theta = pi/2).  The intermediate index is summed up to
-    ``inner_dim`` (default dim); padding it accelerates convergence at the
-    cost of the clean monotone trend.
+    intervals at theta = pi/2).  Both indices run over the first dim levels.
     """
     if not (X.is_bounded and Y.is_bounded):
         raise DomainError("trace_pair needs bounded interval sets")
     if dim < 1 or dim > MAX_TRACE_DIM:
         raise DomainError(f"dim {dim} outside [1, {MAX_TRACE_DIM}]")
-    if abs(math.sin(theta)) < 1e-12:
+    if abs(math.sin(_require_finite("theta", theta))) < 1e-12:
         raise DomainError("angles with sin(theta) = 0 give a degenerate pair")
-    inner = inner_dim if inner_dim is not None else dim
-    if inner < dim:
-        raise DomainError("inner_dim must be at least dim")
-    ov_x = overlap_matrix(X, inner)[:dim, :]
-    ov_y = overlap_matrix(Y, inner)[:, :dim]
-    phase_n = np.exp(-1j * theta * np.arange(dim))
-    phase_m = np.exp(1j * theta * np.arange(inner))
-    weighted = phase_n[:, None] * ov_x * phase_m[None, :]
-    return float(np.sum(weighted * ov_y.T).real)
+    # Q_theta(Y) is Q(Y) rotated by theta; in the trace that moves onto Q(X) as -theta
+    weighted = _rotated(overlap_matrix(X, dim), -theta)
+    return float(np.sum(weighted.real * overlap_matrix(Y, dim)))
 
 
 def complementarity_summary(dim: int, theta: float) -> dict:
@@ -215,8 +183,8 @@ def weyl_relation_deviation(q: float, p: float, dim: int) -> float:
     """
     if dim < 2:
         raise DomainError("need dim >= 2")
-    q_mat = quadrature_matrix(0.0, dim).matrix
-    p_mat = quadrature_matrix(math.pi / 2.0, dim).matrix
+    q_mat = quadrature_matrix(0.0, dim)
+    p_mat = quadrature_matrix(math.pi / 2.0, dim)
     left = expm(-1j * q * p_mat) @ expm(1j * p * q_mat)
     right = np.exp(-1j * q * p) * (expm(1j * p * q_mat) @ expm(-1j * q * p_mat))
     half = dim // 2

@@ -78,21 +78,20 @@ def gk_grid(state: TruncatedState, kernel: TruncatedState,
     )
 
 
-def radon(grid: GridFunction, theta: float, t, *, order: int = 3,
-          boundary_tol: float = BOUNDARY_TOL):
+def radon(grid: GridFunction, theta: float, t):
     """Line integral of a sampled plane function along the rotated line.
 
     The line through the frame point (t, s) runs over
     (t cos theta - s sin theta, t sin theta + s cos theta) for
-    s in [-L, L] with L the grid half-extent; samples are spline
-    interpolated (``order``, default cubic) and summed by the composite
-    trapezoid rule at the grid step.  Points beyond the grid count as
-    zero, which the boundary-decay check justifies.  Angles are reduced
-    modulo 2 pi first, so the transform is exactly periodic.
+    s in [-L, L] with L the grid half-extent; samples are cubic-spline
+    interpolated and summed by the composite trapezoid rule at the grid
+    step.  Points beyond the grid count as zero, which the boundary-decay
+    check at BOUNDARY_TOL justifies.  Angles are reduced modulo 2 pi
+    first, so the transform is exactly periodic.
     """
     if grid.ndim != 2:
         raise DomainError("radon needs a 2D grid")
-    grid.require_decayed(boundary_tol)
+    grid.require_decayed(BOUNDARY_TOL)
     theta = math.remainder(theta, 2.0 * math.pi)
     (q0, q1, hq), (p0, p1, hp) = grid.axes
     h = min(hq, hp)
@@ -104,7 +103,7 @@ def radon(grid: GridFunction, theta: float, t, *, order: int = 3,
     ps = ta[:, None] * sn + s[None, :] * c
     coords = np.stack([(qs.ravel() - q0) / hq, (ps.ravel() - p0) / hp])
     line = ndimage.map_coordinates(
-        grid.values, coords, order=order, mode="grid-constant", cval=0.0
+        grid.values, coords, order=3, mode="grid-constant", cval=0.0
     ).reshape(qs.shape)
     vals = np.trapezoid(line, dx=h, axis=1)
     if np.isscalar(t) or np.asarray(t).ndim == 0:

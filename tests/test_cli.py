@@ -142,10 +142,19 @@ def test_complementarity_report_matches_library(capsys):
         assert got[key] == pytest.approx(val, abs=1e-15)
 
 
-def test_exit_code_config(capsys):
-    code, _, err = run_cli(capsys, "quad-density", "--state", "thermal:1")
+@pytest.mark.parametrize("spec", ["thermal:1", "vacuum:1", "number:", "squeezed:0.3"])
+def test_exit_code_config(capsys, spec):
+    code, _, err = run_cli(capsys, "quad-density", "--state", spec)
     assert code == 2
     assert "state spec" in err
+
+
+@pytest.mark.parametrize("command", ["complementarity-report", "moments-demo --state vacuum"])
+def test_exit_code_non_finite_report_angle(capsys, command):
+    code, out, err = run_cli(capsys, *command.split(), "--dim", "8", "--theta", "inf")
+    assert code == 2
+    assert out == ""
+    assert "theta must be finite" in err
 
 
 def test_exit_code_state_validation(tmp_path, capsys):

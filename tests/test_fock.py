@@ -14,7 +14,6 @@ from quadsuite import (
     gaussian_pure_state,
     hermite_basis,
     hermite_function,
-    hermite_polynomial,
     load_state,
     make_state,
     number_state,
@@ -33,10 +32,11 @@ from quadsuite.fock import _support_bound
 
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 17, 40])
 def test_hermite_polynomial_matches_reference(n):
+    # h_n = (2^n n! sqrt(pi))^(-1/2) H_n e^(-x^2/2), H_n from scipy
     xs = np.linspace(-4.0, 4.0, 41)
-    np.testing.assert_allclose(
-        hermite_polynomial(n, xs), eval_hermite(n, xs), rtol=1e-12
-    )
+    log_scale = -0.5 * (n * math.log(2.0) + gammaln(n + 1) + 0.5 * math.log(math.pi))
+    want = eval_hermite(n, xs) * np.exp(log_scale - 0.5 * xs**2)
+    np.testing.assert_allclose(hermite_basis(n, xs)[n], want, rtol=0, atol=1e-14)
 
 
 def test_hermite_function_explicit_low_orders():
@@ -197,6 +197,23 @@ def test_make_state_dispatch(spec):
 def test_make_state_rejects_unknown():
     with pytest.raises(Exception):
         make_state(("thermal", 1.0), 8)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["thermal:1", "vacuum:1", "number:", "squeezed:0.3", "number:1.5", "coherent:a,b",
+     ("squeezed", 0.3), ("vacuum", 1)],
+)
+def test_make_state_rejects_bad_spec(spec):
+    with pytest.raises(DomainError, match="state spec"):
+        make_state(spec, 8)
+
+
+def test_make_state_file_spec(tmp_path):
+    st = squeezed_state(0.2, 0.4, 6)
+    path = tmp_path / "a:b.json"       # everything after file: is the path
+    save_state(st, path)
+    np.testing.assert_array_equal(make_state(f"file:{path}", 99).matrix, st.matrix)
 
 
 def test_rotate_state_moves_coherent_phase():

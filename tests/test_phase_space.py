@@ -14,11 +14,11 @@ from quadsuite import (
     cartesian_marginal_density,
     coherent_state,
     displacement_matrix,
-    displacement_matrix_expm,
     gk_density,
     number_state,
     pure_state,
     quadrature_density,
+    quadrature_matrix,
     rotate_state,
     rotated_marginal_density,
     squeezed_state,
@@ -28,6 +28,14 @@ from quadsuite import (
     wigner,
 )
 from quadsuite.fock import _panel_rule
+
+
+def displacement_matrix_expm(pt, dim):
+    """W(q, p) as expm(i(pQ - qP)) on dim levels; truncation-biased near the corner."""
+    q, p = pt
+    q_mat = quadrature_matrix(0.0, dim)
+    p_mat = quadrature_matrix(math.pi / 2.0, dim)
+    return expm(1j * (p * q_mat - q * p_mat))
 
 
 def _interior_displacement(pt, dim, pad=120):

@@ -1,0 +1,147 @@
+"""Properties of the quadrature layer over generated inputs.
+
+Hypothesis draws the states, angles and points; every test is
+derandomized, keeps no example database, and runs at most 25 examples
+with dimensions up to 12, so the suite is reproducible and quick.
+"""
+
+import csv
+import io
+import math
+from contextlib import redirect_stdout
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from quadsuite import (
+    DomainError,
+    IntervalSet,
+    hermite_basis,
+    make_state,
+    quadrature_density,
+    rotate_state,
+    rotated_marginal_density,
+    state_from_matrix,
+    trace_pair,
+    vacuum_state,
+)
+from quadsuite.cli import main
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=25)
+
+angles = st.floats(-2.0 * math.pi, 2.0 * math.pi)
+points = st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=20).map(np.array)
+non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def states(draw, max_dim=12):
+    """A random density matrix of random rank on up to max_dim levels."""
+    dim = draw(st.integers(1, max_dim))
+    rank = draw(st.integers(1, dim))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    rho = a @ a.conj().T
+    return state_from_matrix(rho / np.trace(rho).real)
+
+
+@st.composite
+def spec_pairs(draw):
+    """The same named state as a string spec and as a tuple spec, with a dim."""
+    dim = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["vacuum", "number", "coherent", "squeezed"]))
+    if kind == "vacuum":
+        return "vacuum", ("vacuum",), dim
+    if kind == "number":
+        n = draw(st.integers(0, dim - 1))
+        return f"number:{n}", ("number", n), dim
+    small = st.floats(-1.5, 1.5)
+    a, b = draw(small), draw(small)
+    return f"{kind}:{a!r},{b!r}", (kind, a, b), dim
+
+
+@st.composite
+def with_non_finite(draw, values):
+    """values with one entry replaced by NaN or an infinity."""
+    out = np.array(draw(values), dtype=float)
+    out[draw(st.integers(0, out.size - 1))] = draw(non_finite)
+    return out
+
+
+@pytest.mark.filterwarnings("ignore:truncation dropped")
+@PROPERTY
+@given(spec_pairs())
+def test_string_spec_equals_tuple_spec(pair):
+    text, parts, dim = pair
+    assert np.array_equal(make_state(text, dim).matrix, make_state(parts, dim).matrix)
+
+
+@pytest.mark.filterwarnings("ignore:truncation dropped")
+@PROPERTY
+@given(spec_pairs(), angles)
+def test_cli_state_spec_matches_library(pair, theta):
+    text, parts, dim = pair
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(["quad-density", "--state", text, "--dim", str(dim),
+                     f"--theta={theta!r}", "--grid=-2:2:1"])
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out.getvalue())))
+    want = quadrature_density(make_state(parts, dim), theta, np.array([-2.0, -1, 0, 1, 2]))
+    got = np.array([float(r["density"]) for r in rows])
+    np.testing.assert_allclose(got, want, rtol=1e-11, atol=1e-15)   # CSV keeps 13 digits
+
+
+@PROPERTY
+@given(states(), angles, angles, points)
+def test_density_covariant_under_rotation(state, theta, phi, x):
+    rotated = quadrature_density(rotate_state(state, phi), theta, x)
+    np.testing.assert_allclose(rotated, quadrature_density(state, theta - phi, x), atol=1e-13)
+
+
+@PROPERTY
+@given(states(), angles, points)
+def test_density_nonnegative_with_unit_mass(state, theta, x):
+    assert quadrature_density(state, theta, x).min() >= -1e-14
+    # e^{-x^2} times a polynomial of degree 2(dim - 1): dim Gauss-Hermite nodes are exact
+    u, w = np.polynomial.hermite.hermgauss(state.dim)
+    mass = np.dot(w * np.exp(u * u), quadrature_density(state, theta, u))
+    assert abs(mass - 1.0) < 1e-12
+
+
+intervals = st.tuples(st.floats(-3.0, 2.5), st.floats(0.1, 2.0)).map(
+    lambda pair: IntervalSet.of((pair[0], pair[0] + pair[1]))
+)
+
+
+@PROPERTY
+@given(intervals, intervals, angles.filter(lambda th: abs(math.sin(th)) > 1e-3),
+       st.integers(1, 12))
+def test_trace_pair_even_in_theta(X, Y, theta, dim):
+    forward, backward = trace_pair(X, Y, theta, dim), trace_pair(X, Y, -theta, dim)
+    assert abs(forward - backward) <= 1e-14 * max(1.0, abs(forward))
+
+
+@PROPERTY
+@given(non_finite, with_non_finite(points))
+def test_non_finite_input_raises_domain_error(bad, bad_points):
+    state = vacuum_state(3)
+    x = np.array([0.0, 1.0])
+    for call in (
+        lambda: quadrature_density(state, bad, x),
+        lambda: quadrature_density(state, 0.3, bad_points),
+        lambda: rotate_state(state, bad),
+        lambda: rotated_marginal_density(state, state, bad, x),
+        lambda: rotated_marginal_density(state, state, 0.3, bad_points),
+    ):
+        with pytest.raises(DomainError):
+            call()
+
+
+@PROPERTY
+@given(st.integers(0, 12), with_non_finite(points))
+def test_hermite_basis_rejects_non_finite_points(n_max, bad_points):
+    with pytest.raises(DomainError):
+        hermite_basis(n_max, bad_points)

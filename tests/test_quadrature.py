@@ -27,7 +27,7 @@ UNIT = IntervalSet.of((0.0, 1.0))
 
 
 def test_matrix_entries():
-    m = quadrature_matrix(0.7, 5).matrix
+    m = quadrature_matrix(0.7, 5)
     ns = np.arange(4)
     np.testing.assert_allclose(
         np.diag(m, 1), np.exp(-0.7j) * np.sqrt((ns + 1) / 2.0), atol=1e-15
@@ -36,8 +36,8 @@ def test_matrix_entries():
 
 
 def test_zero_angle_is_position_and_half_pi_is_momentum():
-    q = quadrature_matrix(0.0, 4).matrix
-    p = quadrature_matrix(math.pi / 2.0, 4).matrix
+    q = quadrature_matrix(0.0, 4)
+    p = quadrature_matrix(math.pi / 2.0, 4)
     assert np.max(np.abs(q.imag)) < 1e-15
     np.testing.assert_allclose(p, 1j * (np.tril(q, -1) - np.triu(q, 1)), atol=1e-15)
 
@@ -149,12 +149,23 @@ def test_trace_pair_theta_symmetry():
         dict(X=IntervalSet.full_line(), Y=UNIT, theta=1.0, dim=20),
         dict(X=UNIT, Y=UNIT, theta=0.0, dim=20),
         dict(X=UNIT, Y=UNIT, theta=1.0, dim=500),
-        dict(X=UNIT, Y=UNIT, theta=1.0, dim=20, inner_dim=10),
     ],
 )
 def test_trace_pair_rejects(bad):
     with pytest.raises(DomainError):
         trace_pair(**bad)
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_angle_functions_reject_non_finite_angle(theta):
+    for call in (
+        lambda: trace_pair(UNIT, UNIT, theta, 20),
+        lambda: complementarity_summary(20, theta),
+        lambda: quadrature_moment(vacuum_state(4), theta, 2),
+        lambda: commutator_block(theta, 6),
+    ):
+        with pytest.raises(DomainError, match="theta must be finite"):
+            call()
 
 
 def test_weyl_relation_small_deviation():
