@@ -31,8 +31,10 @@ def _require_finite(label: str, values):
 
 
 def uniform_axis(lo: float, hi: float, step: float) -> np.ndarray:
-    """Return the uniform grid lo, lo+step, ..., hi (endpoint included)."""
-    if not (hi > lo and step > 0):
+    """Return the uniform grid lo, lo+step, ..., hi (endpoint included).
+
+    DomainError unless lo < hi are finite and step is positive."""
+    if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo and step > 0):
         raise DomainError(f"bad axis spec ({lo}, {hi}, {step})")
     n = round((hi - lo) / step)
     if n < 1 or abs(lo + n * step - hi) > 1e-9 * max(1.0, abs(hi)):

@@ -179,10 +179,13 @@ def weyl_relation_deviation(q: float, p: float, dim: int) -> float:
     """Truncation test of exp(-iqP) exp(ipQ) = exp(-iqp) exp(ipQ) exp(-iqP).
 
     Returns the max-abs entry of the difference restricted to the top-left
-    dim/2 block, where boundary effects have died off.
+    dim/2 block, where boundary effects have died off.  NaN or infinite
+    q or p raise DomainError.
     """
     if dim < 2:
         raise DomainError("need dim >= 2")
+    _require_finite("q", q)
+    _require_finite("p", p)
     q_mat = quadrature_matrix(0.0, dim)
     p_mat = quadrature_matrix(math.pi / 2.0, dim)
     left = expm(-1j * q * p_mat) @ expm(1j * p * q_mat)

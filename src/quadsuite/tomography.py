@@ -17,10 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import dawsn, gammaln
 
-from .domains import IntervalSet, uniform_axis
+from .domains import IntervalSet, _require_finite, uniform_axis
 from .errors import ConditioningError, ConvergenceError, DomainError
 from .fock import TruncatedState, hermite_basis, overlap_matrix
-from .quadrature import quadrature_density
 
 __all__ = [
     "dawson",
@@ -43,6 +42,8 @@ SERIES_QUIET_RUN = 5
 MIN_DATASET_ANGLES = 32
 MAX_DATASET_STEP = 0.02
 CONDITION_LIMIT = 1e10
+
+_KERNEL_CHUNK = 1 << 14    # kernel values per block of angles in gk_from_quadrature_data
 
 
 def dawson(t):
@@ -142,12 +143,14 @@ def markov_kernel_number(n: int, pt, theta: float, x, form: str = "derivative"):
     Depends on its arguments only through t = x - q cos(theta) - p sin(theta).
     ``form`` selects the Dawson-derivative expression or the Hermite series;
     the two agree to better than 1e-6 on |t| <= 4.  At n = 0, t = 0 the
-    value is exactly 2.
+    value is exactly 2.  NaN or infinite theta, point or x raise
+    DomainError.
     """
     if not 0 <= n <= MAX_KERNEL_INDEX:
         raise DomainError(f"kernel index {n} outside [0, {MAX_KERNEL_INDEX}]")
-    q, p = pt
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
+    q, p = _require_finite("point", np.asarray(pt, dtype=float))
+    _require_finite("theta", theta)
+    xa = _require_finite("x", np.atleast_1d(np.asarray(x, dtype=float)))
     t = xa - (q * math.cos(theta) + p * math.sin(theta))
     if form == "derivative":
         vals = _kernel_derivative_form(n, t)
@@ -229,12 +232,35 @@ class QuadratureDataset:
         return uniform_axis(*self.x_axis)
 
 
+def _band_products(basis: np.ndarray):
+    """Yield (d, P_d) for every band d < D of a Hermite table h_0..h_{D-1}:
+    P_d[n] = h_{n+d} h_n for n < D - d, the functions that carry the
+    entries rho_{n+d,n} of band d."""
+    dim = basis.shape[0]
+    for d in range(dim):
+        yield d, basis[d:] * basis[: dim - d]
+
+
 def generate_dataset(state: TruncatedState, angles: int,
                      x_axis=(-8.0, 8.0, 0.01)) -> QuadratureDataset:
-    """Tabulate the quadrature densities of a state at J uniform angles."""
+    """Tabulate the quadrature densities of a state at J uniform angles.
+
+    Band form: p_theta(x) = sum_d w_d Re(exp(-i d theta) B_d(x)), with
+    B_d = sum_n rho_{n+d,n} h_{n+d} h_n, w_0 = 1 and w_{d>0} = 2.  One
+    Hermite table gives every B_d, and all J rows come from one real
+    product [w_d cos d theta_j | w_d sin d theta_j] @ [Re B; Im B].
+    """
+    if angles < 1:
+        raise DomainError(f"need at least one angle, got {angles}")
     xs = uniform_axis(*x_axis)
-    thetas = 2.0 * math.pi * np.arange(angles) / angles
-    values = np.stack([quadrature_density(state, th, xs) for th in thetas])
+    values = np.empty((angles, xs.size))     # before the temporaries: keeps the heap compact
+    bands = np.array([np.diagonal(state.matrix, -d) @ products
+                      for d, products in _band_products(hermite_basis(state.dim - 1, xs))])
+    order = np.arange(state.dim)
+    phase = np.outer(2.0 * math.pi * np.arange(angles) / angles, order)
+    weights = np.where(order == 0, 1.0, 2.0)
+    np.matmul(np.hstack([weights * np.cos(phase), weights * np.sin(phase)]),
+              np.vstack([bands.real, bands.imag]), out=values)
     return QuadratureDataset(angles, tuple(x_axis), values)
 
 
@@ -272,11 +298,13 @@ def load_dataset(path) -> QuadratureDataset:
 def reconstruct_state(data: QuadratureDataset, dim: int) -> TruncatedState:
     """Recover a density matrix from angle-resolved quadrature densities.
 
-    The angle dependence of the density separates the matrix into
-    diagonals: band d carries exp(-i d theta).  A discrete Fourier
-    transform over the J angles isolates each band (alias-free once
-    J >= 2 dim - 1), and a least-squares fit against the products
-    h_{m+d} h_m recovers its entries.  The result is projected onto the
+    Inverts the band form p_theta = sum_d w_d Re(exp(-i d theta) B_d) of
+    :func:`generate_dataset`: band d carries exp(-i d theta), so one
+    discrete Fourier product over the J angles gives every B_d (alias-free
+    once J >= 2 dim - 1).  A real least-squares fit of Re B_d and Im B_d
+    against the products h_{n+d} h_n recovers rho_{n+d,n}, and the
+    largest-to-smallest singular value ratio of that design must stay
+    below ``CONDITION_LIMIT``.  The result is projected onto the
     physical cone by clipping negative eigenvalues and renormalizing;
     the clipped mass and fit residual land in ``meta``.
     """
@@ -287,25 +315,25 @@ def reconstruct_state(data: QuadratureDataset, dim: int) -> TruncatedState:
             f"need at least {2 * dim - 1} angles to separate {dim} levels, "
             f"got {data.angles}"
         )
-    xs = data.xs
-    basis = hermite_basis(dim - 1, xs)
-    thetas = data.thetas
+    # rows d and D + d: real and imaginary part of sum_j exp(i d theta_j) p_j / J
+    phase = np.outer(np.arange(dim), data.thetas)
+    fourier = np.vstack([np.cos(phase), np.sin(phase)]) @ data.values / data.angles
     rho = np.zeros((dim, dim), dtype=complex)
     residual = 0.0
-    for d in range(dim):
-        band = np.exp(1j * d * thetas) @ data.values / data.angles
-        design = (basis[d:dim] * basis[: dim - d]).T
-        coeffs, res, rank, svals = np.linalg.lstsq(design, band, rcond=None)
+    for d, products in _band_products(hermite_basis(dim - 1, data.xs)):
+        design = products.T
+        band = np.stack([fourier[d], fourier[dim + d]], axis=1)
+        coeffs, _, _, svals = np.linalg.lstsq(design, band, rcond=None)
         if svals[0] > CONDITION_LIMIT * svals[-1]:
             raise ConditioningError(
                 f"band {d} design matrix condition {svals[0]/svals[-1]:.2e} "
                 f"exceeds {CONDITION_LIMIT:.0e}"
             )
-        residual += float(np.sum(np.abs(design @ coeffs - band) ** 2))
+        residual += float(np.sum((design @ coeffs - band) ** 2))
         ns = np.arange(dim - d)
-        rho[ns + d, ns] = coeffs
+        rho[ns + d, ns] = coeffs[:, 0] + 1j * coeffs[:, 1]
         if d:
-            rho[ns, ns + d] = coeffs.conj()
+            rho[ns, ns + d] = coeffs[:, 0] - 1j * coeffs[:, 1]
     rho = 0.5 * (rho + rho.conj().T)
     evals, evecs = np.linalg.eigh(rho)
     clipped = float(np.sum(np.minimum(evals, 0.0)))
@@ -325,17 +353,22 @@ def gk_from_quadrature_data(data: QuadratureDataset, n: int, pt) -> float:
 
     Averages the Markov kernel against the tabulated densities: the
     rectangle rule over the J angles (spectrally accurate for periodic
-    integrands) and the trapezoid rule over x.
+    integrands) and the trapezoid rule over x.  A kernel index outside
+    [0, MAX_KERNEL_INDEX] or a NaN or infinite point raises DomainError.
     """
+    if not 0 <= n <= MAX_KERNEL_INDEX:
+        raise DomainError(f"kernel index {n} outside [0, {MAX_KERNEL_INDEX}]")
     if data.angles < MIN_DATASET_ANGLES:
         raise DomainError(f"need at least {MIN_DATASET_ANGLES} angles")
     if data.x_axis[2] > MAX_DATASET_STEP + 1e-15:
         raise DomainError(f"x step must be at most {MAX_DATASET_STEP}")
-    q, p = pt
+    q, p = _require_finite("point", np.asarray(pt, dtype=float))
     xs = data.xs
     shifts = q * np.cos(data.thetas) + p * np.sin(data.thetas)
+    rows = max(1, _KERNEL_CHUNK // xs.size)
     total = 0.0
-    for j, shift in enumerate(shifts):
-        kernel = _kernel_derivative_form(n, xs - shift)
-        total += float(np.trapezoid(kernel * data.values[j], dx=data.x_axis[2]))
+    for start in range(0, data.angles, rows):
+        block = slice(start, start + rows)
+        kernel = _kernel_derivative_form(n, xs - shifts[block, None])
+        total += float(np.trapezoid(kernel * data.values[block], dx=data.x_axis[2], axis=1).sum())
     return total / data.angles

@@ -187,6 +187,23 @@ def test_exit_code_nan_angle(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("args", [["--theta", "nan"], ["--theta", "inf"], ["--point", "nan,0"]])
+def test_exit_code_non_finite_kernel_argument(capsys, args):
+    code, out, err = run_cli(capsys, "markov-kernel", "--index", "1", "--grid=-1:1:1", *args)
+    assert code == 2
+    assert out == ""
+    assert "must be finite" in err
+    assert "Traceback" not in err
+
+
+def test_exit_code_infinite_grid(capsys):
+    code, out, err = run_cli(capsys, "quad-density", "--state", "vacuum", "--dim", "4",
+                             "--grid=-inf:inf:1")
+    assert code == 2
+    assert out == ""
+    assert "bad axis spec" in err
+
+
 def test_exit_code_dataset_with_nan(tmp_path, capsys):
     dataset = tmp_path / "data.txt"
     code, _, _ = run_cli(

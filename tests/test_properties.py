@@ -2,7 +2,9 @@
 
 Hypothesis draws the states, angles and points; every test is
 derandomized, keeps no example database, and runs at most 25 examples
-with dimensions up to 12, so the suite is reproducible and quick.
+with dimensions up to 12, so the suite is reproducible and quick.  The
+reconstruction round trip needs J >= 2 dim - 1 angles to separate the
+bands.
 """
 
 import csv
@@ -18,9 +20,11 @@ from hypothesis import strategies as st
 from quadsuite import (
     DomainError,
     IntervalSet,
+    generate_dataset,
     hermite_basis,
     make_state,
     quadrature_density,
+    reconstruct_state,
     rotate_state,
     rotated_marginal_density,
     state_from_matrix,
@@ -109,6 +113,15 @@ def test_density_nonnegative_with_unit_mass(state, theta, x):
     u, w = np.polynomial.hermite.hermgauss(state.dim)
     mass = np.dot(w * np.exp(u * u), quadrature_density(state, theta, u))
     assert abs(mass - 1.0) < 1e-12
+
+
+@PROPERTY
+@given(st.data())
+def test_reconstruction_round_trip(data):
+    state = data.draw(states(max_dim=8))
+    angles = data.draw(st.integers(2 * state.dim - 1, 2 * state.dim + 8))
+    rebuilt = reconstruct_state(generate_dataset(state, angles), state.dim)
+    assert np.linalg.norm(rebuilt.matrix - state.matrix) <= 1e-6
 
 
 intervals = st.tuples(st.floats(-3.0, 2.5), st.floats(0.1, 2.0)).map(

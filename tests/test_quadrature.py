@@ -173,6 +173,12 @@ def test_weyl_relation_small_deviation():
     assert weyl_relation_deviation(0.0, 0.0, 10) < 1e-15
 
 
+@pytest.mark.parametrize("q,p", [(math.nan, 0.5), (0.5, math.inf), (-math.inf, 0.0)])
+def test_weyl_relation_rejects_non_finite_point(q, p):
+    with pytest.raises(DomainError, match="must be finite"):
+        weyl_relation_deviation(q, p, 8)
+
+
 def test_summary_is_thin_wrapper():
     summary = complementarity_summary(60, 1.0)
     assert summary["trace_estimate"] == trace_pair(UNIT, UNIT, 1.0, 60)

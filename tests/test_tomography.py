@@ -15,12 +15,15 @@ from quadsuite import (
     generate_dataset,
     gk_density,
     gk_from_quadrature_data,
+    hermite_basis,
     load_dataset,
     markov_kernel_number,
     number_state,
+    pure_state,
     quadrature_density,
     reconstruct_state,
     save_dataset,
+    state_from_matrix,
     tomography_probability,
     vacuum_state,
 )
@@ -97,6 +100,19 @@ def test_kernel_guards():
         dawson_derivatives(0.0, -1)
 
 
+@pytest.mark.parametrize("pt,theta,x", [
+    ((0.0, 0.0), math.nan, 0.5),
+    ((0.0, 0.0), math.inf, 0.5),
+    ((math.nan, 0.0), 0.3, 0.5),
+    ((0.2, -math.inf), 0.3, 0.5),
+    ((0.0, 0.0), 0.3, np.array([0.0, math.nan])),
+])
+def test_kernel_rejects_non_finite_input(pt, theta, x):
+    for form in ("derivative", "series"):
+        with pytest.raises(DomainError, match="must be finite"):
+            markov_kernel_number(1, pt, theta, x, form=form)
+
+
 def test_kernel_series_convergence_guard(monkeypatch):
     monkeypatch.setattr(tomography, "SERIES_MAX_TERMS", 3)
     with pytest.raises(ConvergenceError):
@@ -116,6 +132,9 @@ def test_dataset_validation():
         QuadratureDataset(4, xs_axis, negative)
     with pytest.raises(DomainError):
         QuadratureDataset(5, xs_axis, good.values)
+    for angles in (0, -1):
+        with pytest.raises(DomainError):
+            generate_dataset(vacuum_state(6), angles, xs_axis)
     for bad in (math.nan, math.inf):
         non_finite = good.values.copy()
         non_finite[3, 0] = bad
@@ -230,6 +249,21 @@ def test_gk_from_data_matches_direct(rng, random_pure):
         assert abs(est - gk_density(st, kernel, pt)) < 1e-6
 
 
+@pytest.mark.parametrize("pt", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, math.nan)])
+def test_gk_from_data_rejects_non_finite_point(pt):
+    data = generate_dataset(vacuum_state(4), 32, (-8.0, 8.0, 0.02))
+    with pytest.raises(DomainError, match="point must be finite"):
+        gk_from_quadrature_data(data, 0, pt)
+
+
+@pytest.mark.parametrize("n", [-1, 7, 30])
+def test_gk_from_data_rejects_kernel_index_out_of_range(n):
+    # unchecked, n = 30 gave 3.5e-4 for the vacuum at the origin, where gk is 0
+    data = generate_dataset(vacuum_state(40), 32, (-8.0, 8.0, 0.02))
+    with pytest.raises(DomainError, match="kernel index"):
+        gk_from_quadrature_data(data, n, (0.0, 0.0))
+
+
 def test_gk_from_data_guards():
     data = generate_dataset(vacuum_state(6), 8)
     with pytest.raises(DomainError):
@@ -237,3 +271,77 @@ def test_gk_from_data_guards():
     coarse = generate_dataset(vacuum_state(6), 32, (-8.0, 8.0, 0.05))
     with pytest.raises(DomainError):
         gk_from_quadrature_data(coarse, 0, (0.0, 0.0))  # step too wide
+
+
+# ---------------------------------------------------------------------------
+# the batched paths against the per-angle and per-band forms they replace
+
+
+def _axis(dim):
+    return (-8.0, 8.0, 0.01) if dim <= 16 else (-13.0, 13.0, 0.01)
+
+
+def _mixed(dim, rank):
+    """A seeded random mixed state of the given rank on dim levels."""
+    rng = np.random.default_rng(dim)
+    a = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    rho = a @ a.conj().T
+    return state_from_matrix(rho / np.trace(rho).real)
+
+
+@pytest.mark.parametrize("dim,angles", [(6, 16), (12, 32), (16, 33), (40, 80)])
+def test_dataset_rows_match_per_angle_density(dim, angles, rng, random_pure):
+    for state in (_mixed(dim, dim), random_pure(rng, 4, dim)):
+        data = generate_dataset(state, angles, _axis(dim))
+        for theta, row in zip(data.thetas, data.values):
+            assert np.max(np.abs(row - quadrature_density(state, theta, data.xs))) <= 1e-15
+
+
+def test_dataset_rows_match_long_double_sum(rng, random_pure):
+    # With amplitude on all 40 levels the per-angle quadrature_density rounds
+    # by 1.5e-15 on this state, so the band form is checked against the same
+    # sum done in long double over the same Hermite table instead.
+    if np.finfo(np.longdouble).eps > 1e-18:
+        pytest.skip("long double is no wider than double here")
+    state = random_pure(rng, 40, 40)
+    data = generate_dataset(state, 5, _axis(40))
+    h = hermite_basis(39, data.xs).astype(np.longdouble)
+    d = np.subtract.outer(np.arange(40), np.arange(40)).astype(np.longdouble)
+    re, im = (part.astype(np.longdouble) for part in (state.matrix.real, state.matrix.imag))
+    for theta, row in zip(data.thetas, data.values):
+        phase = d * np.longdouble(theta)
+        want = np.einsum("ni,ni->i", (re * np.cos(phase) + im * np.sin(phase)) @ h, h)
+        assert float(np.max(np.abs(row - want))) <= 1e-15
+
+
+@pytest.mark.parametrize("dim,angles", [(6, 16), (12, 32), (16, 33)])
+def test_reconstruction_matches_per_band_complex_fit(dim, angles):
+    data = generate_dataset(_mixed(dim, 3), angles, _axis(dim))
+    basis = hermite_basis(dim - 1, data.xs)
+    rho = np.zeros((dim, dim), dtype=complex)
+    for d in range(dim):
+        band = np.exp(1j * d * data.thetas) @ data.values / data.angles
+        design = (basis[d:] * basis[: dim - d]).T
+        coeffs = np.linalg.lstsq(design, band, rcond=None)[0]
+        ns = np.arange(dim - d)
+        rho[ns + d, ns] = coeffs
+        rho[ns, ns + d] = coeffs.conj()
+    evals, evecs = np.linalg.eigh(0.5 * (rho + rho.conj().T))
+    evals = np.maximum(evals, 0.0)
+    want = (evecs * (evals / evals.sum())) @ evecs.conj().T
+    assert np.max(np.abs(reconstruct_state(data, dim).matrix - want)) <= 1e-15
+
+
+@pytest.mark.parametrize("angles,axis", [(64, (-8.0, 8.0, 0.01)), (50, (-8.0, 8.0, 0.02))])
+def test_gk_from_data_matches_per_angle_loop(angles, axis):
+    # 64 angles make six blocks of 10 rows and one of 4; 50 make 20, 20 and 10
+    data = generate_dataset(pure_state(np.array([0.6, 0.3 - 0.5j, 0.2j, 0.4]), 8), angles, axis)
+    assert angles % (tomography._KERNEL_CHUNK // data.xs.size) != 0
+    for n in range(3):
+        for pt in [(0.0, 0.0), (0.8, -0.4), (-1.1, 0.3)]:
+            shifts = pt[0] * np.cos(data.thetas) + pt[1] * np.sin(data.thetas)
+            total = 0.0
+            for shift, row in zip(shifts, data.values):
+                kernel = markov_kernel_number(n, (0.0, 0.0), 0.0, data.xs - shift)
+                total += float(np.trapezoid(kernel * row, dx=axis[2]))
+            assert abs(gk_from_quadrature_data(data, n, pt) - total / angles) <= 1e-15

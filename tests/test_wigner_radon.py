@@ -6,6 +6,7 @@ from scipy.special import eval_laguerre
 
 from quadsuite import (
     CoverageError,
+    DomainError,
     coherent_state,
     gk_grid,
     number_state,
@@ -153,3 +154,15 @@ def test_gk_grid_agrees_with_marginal():
     slice_vals = radon(grid, 0.4, xs) / (2.0 * math.pi)
     marg = rotated_marginal_density(st, kernel, 0.4, xs)
     np.testing.assert_allclose(slice_vals, marg, atol=1e-5)
+
+
+@pytest.mark.parametrize("axis", [(-math.inf, math.inf, 1.0), (0.0, math.inf, 0.5),
+                                  (-math.inf, 0.0, 0.5), (math.nan, 1.0, 0.5)])
+def test_uniform_axis_rejects_non_finite_ends(axis):
+    with pytest.raises(DomainError, match="bad axis spec"):
+        uniform_axis(*axis)
+
+
+def test_wigner_grid_rejects_infinite_extent():
+    with pytest.raises(DomainError):
+        wigner_grid(vacuum_state(4), extent=math.inf)
