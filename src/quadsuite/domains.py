@@ -89,10 +89,8 @@ class IntervalSet:
 
 @dataclass
 class GridFunction:
-    """Real scalar samples on a uniform 1D or 2D grid.
-
-    For 2D data ``values[i, j]`` is the sample at (q_i, p_j): rows run over
-    the first axis.
+    """Real scalar samples on a uniform 2D grid: ``values[i, j]`` is the
+    sample at (q_i, p_j), so rows run over the first axis.
     """
 
     axes: tuple[tuple[float, float, float], ...]
@@ -101,35 +99,20 @@ class GridFunction:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if len(self.axes) not in (1, 2):
-            raise DomainError("grid functions are one- or two-dimensional")
+        if len(self.axes) != 2:
+            raise DomainError("grid functions are two-dimensional")
         shape = tuple(len(uniform_axis(*ax)) for ax in self.axes)
         if self.values.shape != shape:
             raise DomainError(
                 f"values shape {self.values.shape} does not match axes {shape}"
             )
 
-    @property
-    def ndim(self) -> int:
-        return len(self.axes)
-
     def axis_points(self, i: int = 0) -> np.ndarray:
         return uniform_axis(*self.axes[i])
-
-    @classmethod
-    def sample2d(cls, fn, q_axis, p_axis, meta=None) -> "GridFunction":
-        """Tabulate ``fn(q, p)`` (vectorized over broadcast grids)."""
-        qs = uniform_axis(*q_axis)
-        ps = uniform_axis(*p_axis)
-        vals = fn(qs[:, None], ps[None, :])
-        return cls((tuple(q_axis), tuple(p_axis)), np.asarray(vals, float),
-                   meta=dict(meta or {}))
 
     def boundary_max(self) -> float:
         """Largest absolute sample on the outer frame of the grid."""
         v = self.values
-        if self.ndim == 1:
-            return max(abs(v[0]), abs(v[-1]))
         return max(
             float(np.max(np.abs(v[0, :]))),
             float(np.max(np.abs(v[-1, :]))),

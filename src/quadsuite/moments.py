@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .domains import _require_finite
 from .errors import DomainError
 from .fock import TruncatedState
 from .quadrature import quadrature_moment
@@ -37,14 +38,15 @@ HANKEL_TOL = 1e-9
 class MomentSequence:
     """Raw moments values[k] for k = 0..k_max of a probability measure.
 
-    values[0] must be 1 and the Hankel matrix values[i+j] must be PSD up
-    to a small tolerance; both are checked on construction.
+    Every value must be finite, values[0] must be 1 and the Hankel matrix
+    values[i+j] must be PSD up to a small tolerance; all are checked on
+    construction.
     """
 
     values: tuple
 
     def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
+        vals = _require_finite("moments", tuple(float(v) for v in self.values))
         object.__setattr__(self, "values", vals)
         if not vals or abs(vals[0] - 1.0) > 1e-12:
             raise DomainError("a moment sequence must start with values[0] = 1")
@@ -107,8 +109,10 @@ def invert_moments(s: MomentSequence, mu: MomentSequence) -> MomentSequence:
 
 def gaussian_moments(mean: float, var: float, k_max: int) -> MomentSequence:
     """Raw moments of N(mean, var): binomial expansion around the mean with
-    central moments (2j-1)!! var^j."""
-    if var < 0:
+    central moments (2j-1)!! var^j.  DomainError unless both are finite
+    and var >= 0."""
+    _require_finite("mean", mean)
+    if _require_finite("variance", var) < 0:
         raise DomainError("variance must be nonnegative")
     central = [0.0] * (k_max + 1)
     for j in range(0, k_max + 1, 2):

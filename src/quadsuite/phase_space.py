@@ -1,20 +1,21 @@
-"""Displacement operators and covariant phase-space observables.
+"""Covariant phase-space observables and displacement operators.
 
-With a = (q + ip)/sqrt(2), x = |a|^2 and m = n + d, the Weyl operator has
-the number-basis matrix elements <h_m|W(q,p)|h_n> = head_d g_n, where
+For a state on levels < D the Wigner function is exp(-(q^2+p^2)) times a
+polynomial, held exactly by a Hermite tensor with N = 2D - 1 rows,
+W(q, p) = sum_ab C[a, b] h_a(sqrt(2) q) h_b(sqrt(2) p).  The Wigner
+transform of |m><n| is a 50:50 beam splitter B^L (L = m + n) on h_m x h_n
+followed by a Fourier factor (-i)^b on the second mode.  B^L is the SU(2)
+rotation of the L-photon two-mode block by pi/2 (Campos, Saleh & Teich,
+Phys. Rev. A 40 (1989) 1371), built by Risbo's two-sided recursion
+(J. Geodesy 70 (1996) 383), which keeps every band orthogonal.  The
+covariant density tr[rho W(z) K W(z)*] = 2 pi int W_rho(x) W_K(x - z) d^2x
+correlates two such tensors axis by axis, through the same beam splitter,
+into sum_eg G[e, g] h_e(q) h_g(p).  Both tables are exact for truncated
+states, so a value is a bilinear form in :func:`hermite_basis` rows.
 
-    head_d = a^d exp(-x/2) / sqrt(d!),   g_n = sqrt(n! d!/(n+d)!) L_n^(d)(x),
-
-and W(q,p)^* = W(-q,-p) gives the upper triangle with (-conj a)^d.  One
-engine evaluates them: the head as a running product in d, and g by the
-forward recurrence g_0 = 1, g_1 = (1+d-x)/sqrt(1+d),
-
-    g_{n+1} = [(2n+1+d-x) g_n - sqrt(n(n+d)) g_{n-1}] / sqrt((n+1)(n+1+d)),
-
-at O(1) cost per value.  |head_d| <= 1 and |g_n| <= sqrt(C(n+d,n)) e^(x/2),
-so nothing leaves double range on the documented domain dim <= 400,
-q^2 + p^2 <= 200.  The entries are exact, so traces against finitely
-supported states carry no truncation bias.
+The truncated Weyl operator itself comes from a normalized Laguerre
+recurrence that stays in double range on the documented domain
+dim <= 400, q^2 + p^2 <= 200.
 
 A rotated marginal convolves two quadrature densities, each exp(-x^2)
 times a polynomial, so a Gauss-Hermite rule (Golub-Welsch nodes, weights
@@ -46,74 +47,15 @@ __all__ = [
 MAX_DISPLACEMENT_DIM = 400
 MAX_RADIUS_SQ = 200.0
 
-_EIGENVALUE_CUT = 1e-14
-_MARGINAL_CHUNK = 1 << 21   # Hermite values per marginal row chunk
-_BLOCK = 8192             # points per block of the displacement engine
-_BLOCK_CELLS = 1 << 20    # cap on coefficient rows x points in one block
-
-
-def _laguerre_rows(shift: np.ndarray, d, count: int) -> np.ndarray:
-    """g_n^(d)(x) for n < count on a new leading axis, from the table
-    shift[s] = s - x (s < 2 count + d): either one order d over points x, or
-    one point x over an array of orders d."""
-    first = shift[1 + d]
-    g = np.empty((count,) + first.shape)
-    g[0] = 1.0
-    if count > 1:
-        g[1] = first / np.sqrt(1.0 + d)
-    rows, tmp = list(g), np.empty(first.shape)    # row views: cheap per-step lookups
-    for n in range(1, count - 1):
-        np.multiply(shift[2 * n + 1 + d], rows[n], out=rows[n + 1])
-        np.multiply(rows[n - 1], (n * (n + d)) ** 0.5, out=tmp)
-        rows[n + 1] -= tmp
-        rows[n + 1] /= ((n + 1) * (n + 1 + d)) ** 0.5
-    return g
-
-
-def _contract_displacement(pt, coeffs: np.ndarray, reduce):
-    """reduce(re, im) at the broadcast (q, p) points, block by block, with
-    re + i im = sum_{m,n} <h_m|W(q,p)|h_n> coeffs[r, m, n] in row r; a float
-    for a single point.  Diagonal d folds its lower and upper coefficients
-    into one real (4 rows, dim - d) weight matrix: one recurrence and one
-    gemm per diagonal that holds a nonzero coefficient."""
-    qa, pa = np.broadcast_arrays(*(_require_finite("phase points", np.asarray(c, float)) for c in pt))
-    alphas = ((qa + 1j * pa) / math.sqrt(2.0)).ravel()
-    rows, dim, _ = coeffs.shape
-    # With head = hr + i hi:  re += hr (lo+up).real - hi (lo-up).imag  and
-    # im += hr (lo+up).imag + hi (lo-up).real, each dotted into g.
-    weights = []
-    for d in range(dim):
-        lo = np.diagonal(coeffs, -d, axis1=1, axis2=2)    # coeffs[r, n+d, n]
-        up = (-1) ** d * np.diagonal(coeffs, d, axis1=1, axis2=2) if d else 0.0
-        weights.append(np.concatenate([(lo + up).real, (up - lo).imag, (lo + up).imag, (lo - up).real]))
-    live = [w.any() for w in weights]      # all-zero diagonals skip recurrence and gemm
-    block = max(1, min(_BLOCK, _BLOCK_CELLS // rows))
-    out = np.empty(alphas.size)
-    for start in range(0, alphas.size, block):
-        alpha = alphas[start : start + block]
-        x = alpha.real**2 + alpha.imag**2
-        shift = np.arange(2.0 * dim)[:, None] - x
-        head = np.exp(-0.5 * x).astype(complex)
-        acc = np.zeros((2, rows, alpha.size))                      # re, im
-        for d in range(dim):
-            if d:
-                head *= alpha
-                head *= 1.0 / math.sqrt(d)
-            if not live[d]:
-                continue
-            terms = (weights[d] @ _laguerre_rows(shift, d, dim - d)).reshape(2, 2, rows, -1)
-            terms[:, 0] *= head.real
-            terms[:, 1] *= head.imag
-            acc += terms[:, 0]
-            acc += terms[:, 1]
-        out[start : start + alpha.size] = reduce(*acc)
-    out = out.reshape(qa.shape)
-    return float(out) if out.ndim == 0 else out
+_CHUNK = 1 << 21      # values per chunk: Hermite rows x points, or tensor slices
+_PHASES = np.array([1.0, -1j, -1.0, 1j])     # (-i)^b by b mod 4
 
 
 def displacement_matrix(pt, dim: int) -> np.ndarray:
-    """Truncated Weyl operator W(q, p) from the normalized recurrence, run
-    over n with every diagonal d at once."""
+    """Truncated Weyl operator W(q, p).  With a = (q + ip)/sqrt(2), x = |a|^2,
+    <h_(n+d)|W|h_n> = a^d e^(-x/2) / sqrt(d!) g_n, where g_n = sqrt(n! d!/(n+d)!)
+    L_n^(d)(x) runs g_{n+1} = [(2n+1+d-x) g_n - sqrt(n(n+d)) g_{n-1}] / sqrt((n+1)(n+1+d))
+    over n with every diagonal d at once; W^* = W(-q,-p) gives the upper triangle."""
     q, p = pt
     if dim < 1 or dim > MAX_DISPLACEMENT_DIM:
         raise DomainError(f"dim {dim} outside [1, {MAX_DISPLACEMENT_DIM}]")
@@ -121,9 +63,15 @@ def displacement_matrix(pt, dim: int) -> np.ndarray:
         raise DomainError(f"phase point ({q}, {p}) outside q^2+p^2 <= {MAX_RADIUS_SQ}")
     alpha = complex(q, p) / math.sqrt(2.0)
     x = abs(alpha) ** 2
-    orders = np.arange(dim)
-    head = np.cumprod(np.concatenate([[math.exp(-0.5 * x)], alpha / np.sqrt(orders[1:])]))
-    g = _laguerre_rows(np.arange(3.0 * dim) - x, orders, dim)           # g[n, d]
+    d = np.arange(dim)
+    head = np.cumprod(np.concatenate([[math.exp(-0.5 * x)], alpha / np.sqrt(d[1:])]))
+    g = np.empty((dim, dim))                                            # g[n, d]
+    g[0] = 1.0
+    if dim > 1:
+        g[1] = (1 + d - x) / np.sqrt(1.0 + d)
+    for n in range(1, dim - 1):
+        g[n + 1] = (2 * n + 1 + d - x) * g[n] - np.sqrt(n * (n + d)) * g[n - 1]
+        g[n + 1] /= np.sqrt((n + 1) * (n + 1 + d))
     m, n = np.tril_indices(dim)
     d = m - n
     mat = np.empty((dim, dim), dtype=complex)
@@ -132,10 +80,90 @@ def displacement_matrix(pt, dim: int) -> np.ndarray:
     return mat
 
 
-def _low_rank(state: TruncatedState) -> tuple[np.ndarray, np.ndarray]:
-    evals, evecs = np.linalg.eigh(state.matrix)
-    keep = evals > _EIGENVALUE_CUT
-    return evals[keep], evecs[:, keep]
+def _beam_splitter(rows: int, cols: int):
+    """Yield (L, lo, band) for L < rows + cols - 1, with band[i, a] = B^L[m, a]
+    for the rows m = lo + i that have m < rows and L - m < cols.  From
+    B^0 = [1], with entries outside the previous band counting as zero,
+
+        B^L[m, a] = [sqrt(m) (sqrt(a) B^(L-1)[m-1, a-1] + sqrt(L-a) B^(L-1)[m-1, a])
+                     + sqrt(L-m) (sqrt(a) B^(L-1)[m, a-1] - sqrt(L-a) B^(L-1)[m, a])] / (sqrt(2) L);
+
+    only the previous band is kept."""
+    roots = np.sqrt(np.arange(rows + cols, dtype=float))
+    band, lo = np.ones((1, 1)), 0
+    yield 0, 0, band
+    for L in range(1, rows + cols - 1):
+        new_lo, hi = max(0, L - cols + 1), min(L, rows - 1)
+        wide = np.zeros((hi - new_lo + 2, L + 2))           # rows m - 1 = new_lo - 1..hi, a - 1 = -1..L
+        wide[lo - new_lo + 1 : lo - new_lo + 1 + len(band), 1:-1] = band
+        top = wide[:-1] * (roots[new_lo : hi + 1, None] / (math.sqrt(2.0) * L))
+        bot = wide[1:] * (roots[L - hi : L - new_lo + 1][::-1, None] / (math.sqrt(2.0) * L))
+        band = roots[: L + 1] * (top + bot)[:, :-1] + roots[L::-1] * (top - bot)[:, 1:]
+        lo = new_lo
+        yield L, lo, band
+
+
+def _trimmed(state: TruncatedState) -> TruncatedState:
+    """The state on its levels up to the highest one holding a nonzero entry."""
+    live = state.matrix != 0
+    top = int(np.flatnonzero(live.any(axis=0) | live.any(axis=1))[-1])
+    return state if top == state.dim - 1 else TruncatedState(top + 1, state.matrix[: top + 1, : top + 1])
+
+
+def _wigner_tensor(state: TruncatedState) -> np.ndarray:
+    """C with W(q, p) = sum_ab C[a, b] h_a(sqrt(2) q) h_b(sqrt(2) p) for the
+    trimmed state: C[a, L-a] = Re((-i)^(L-a) sum_m rho[m, L-m] B^L[m, a]) / sqrt(pi)."""
+    rho = _trimmed(state).matrix
+    dim = len(rho)
+    coeffs = np.zeros((2 * dim - 1, 2 * dim - 1))
+    for L, lo, band in _beam_splitter(dim, dim):
+        m, a = np.arange(lo, lo + len(band)), np.arange(L + 1)
+        coeffs[a, L - a] = (_PHASES[(L - a) % 4] * (rho[m, L - m] @ band)).real
+    return coeffs / math.sqrt(math.pi)
+
+
+def _gk_tensor(state: TruncatedState, kernel: TruncatedState) -> np.ndarray:
+    """G with gk(q, p) = sum_eg G[e, g] h_e(q) h_g(p).  Per axis,
+
+        int h_a(sqrt(2) x) h_c(sqrt(2) (x - z)) dx = sum_e gamma[e, a, c] h_e(z),
+        gamma[e, a, c] = ((-1)^c / 2) B^(a+c)[a, e] I_(a+c-e),
+
+    with I_f = int h_f = sqrt(2 pi) |h_f(0)|, and G = 2 pi sum C_s[a, b]
+    C_k[c, d] gamma[e, a, c] gamma[g, b, d], one block of e at a time so
+    that no intermediate outgrows gamma."""
+    if state.dim != kernel.dim:
+        raise DomainError("state and kernel must share one truncation")
+    c_s, c_k = _wigner_tensor(state), _wigner_tensor(kernel)
+    ns, nk = len(c_s), len(c_k)
+    ne = ns + nk - 1
+    integrals = math.sqrt(2.0 * math.pi) * np.abs(hermite_basis(ne - 1, 0.0)[:, 0])
+    gamma = np.zeros((ne, ns, nk))
+    for L, lo, band in _beam_splitter(ns, nk):
+        a = np.arange(lo, lo + len(band))
+        gamma[: L + 1, a, L - a] = (band * integrals[L::-1]).T * (0.5 * (-1.0) ** (L - a))
+    flat = gamma.reshape(ne, -1)
+    out = np.empty((ne, ne))
+    block = max(1, _CHUNK // flat.shape[1])
+    for start in range(0, ne, block):
+        part = c_s.T @ gamma[start : start + block] @ c_k                  # [e, b, d]
+        out[start : start + block] = part.reshape(len(part), -1) @ flat.T
+    return 2.0 * math.pi * out
+
+
+def _tensor_values(coeffs: np.ndarray, scale: float, pt):
+    """sum_ab coeffs[a, b] h_a(scale q) h_b(scale p) at the broadcast (q, p)
+    points, block by block; a float for a single point."""
+    qa, pa = np.broadcast_arrays(*(_require_finite("phase points", np.asarray(c, float)) for c in pt))
+    qs, ps = scale * qa.ravel(), scale * pa.ravel()
+    top = len(coeffs) - 1
+    out = np.empty(qs.size)
+    block = max(1, _CHUNK // len(coeffs))
+    for start in range(0, qs.size, block):
+        part = slice(start, start + block)
+        hq, hp = hermite_basis(top, qs[part]), hermite_basis(top, ps[part])
+        out[part] = np.einsum("ai,ai->i", hq, coeffs @ hp)
+    out = out.reshape(qa.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def gk_density(state: TruncatedState, kernel: TruncatedState, pt):
@@ -145,20 +173,7 @@ def gk_density(state: TruncatedState, kernel: TruncatedState, pt):
     Normalized so the integral against dq dp / (2 pi) is one.  Accepts a
     single point or broadcastable coordinate arrays.
     """
-    if state.dim != kernel.dim:
-        raise DomainError("state and kernel must share one truncation")
-    # sum_ij lam_i kap_j |<u_i|W|v_j>|^2: every eigenpair is one coefficient row
-    (lam, u_vecs), (kap, v_vecs) = _low_rank(state), _low_rank(kernel)
-    coeffs = np.einsum("mi,nj->ijmn", u_vecs.conj(), v_vecs).reshape(-1, state.dim, state.dim)
-    pair_weights = np.outer(lam, kap).ravel()
-    return _contract_displacement(pt, coeffs, lambda re, im: pair_weights @ (re * re + im * im))
-
-
-def _trimmed(state: TruncatedState) -> TruncatedState:
-    """The state on its levels up to the highest one holding a nonzero entry."""
-    live = state.matrix != 0
-    top = int(np.flatnonzero(live.any(axis=0) | live.any(axis=1))[-1])
-    return state if top == state.dim - 1 else TruncatedState(top + 1, state.matrix[: top + 1, : top + 1])
+    return _tensor_values(_gk_tensor(state, kernel), 1.0, pt)
 
 
 def _hermite_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -185,7 +200,7 @@ def rotated_marginal_density(state: TruncatedState, kernel: TruncatedState, thet
     half, lam = u / math.sqrt(2.0), lam / math.sqrt(2.0)
     flat = ta.ravel()
     out = np.empty(flat.size)
-    rows = max(1, _MARGINAL_CHUNK // (u.size * max(src.dim, ker.dim)))
+    rows = max(1, _CHUNK // (u.size * max(src.dim, ker.dim)))
     for start in range(0, flat.size, rows):
         mid = 0.5 * flat[start : start + rows, None]
         vals = (_quadrature_density(src, theta, (mid + half).ravel())

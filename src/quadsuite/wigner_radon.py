@@ -1,16 +1,11 @@
 """Wigner functions, the Radon transform, and the tomographic identities.
 
-The Wigner function is the trace of the state against the displaced
-parity operator,
-
-    W_rho(q, p) = (1/pi) tr[rho W(q,p) Pi W(q,p)*],
-
-and the operator identity W(q,p) Pi W(q,p)* = W(2q,2p) Pi reduces this to
-a single displacement evaluated at the doubled point.  That reduction is
-used verbatim: it needs only the Weyl matrix elements inside the truncation,
-exact from the Laguerre recurrence of :mod:`quadsuite.phase_space`, so the
-sampled values are exact for truncated states.
-Evaluating the triple product at a fixed truncation instead leaves an
+The Wigner function and the covariant density are both Gaussian times a
+polynomial, held exactly by the Hermite tensors of
+:mod:`quadsuite.phase_space`.  A point costs one bilinear form in Hermite
+functions; a square grid is one :func:`hermite_basis` call and two gemms,
+H^T C H.  The values are exact for truncated states: evaluating the
+triple product tr[rho W Pi W*] at a fixed truncation instead leaves an
 alternating-series artifact of order 1e-5 at radius 8 for a dim-12 state,
 which would poison every identity this module is meant to check.
 
@@ -28,10 +23,9 @@ import math
 import numpy as np
 from scipy import ndimage
 
-from .domains import GridFunction, uniform_axis
-from .errors import DomainError
-from .fock import TruncatedState
-from .phase_space import _contract_displacement, gk_density, rotated_marginal_density
+from .domains import GridFunction, _require_finite, uniform_axis
+from .fock import TruncatedState, hermite_basis
+from .phase_space import _gk_tensor, _tensor_values, _wigner_tensor, rotated_marginal_density
 from .quadrature import quadrature_density
 
 __all__ = [
@@ -53,29 +47,27 @@ def wigner(state: TruncatedState, pt):
 
     Bounded by 1/pi in modulus and integrates to one over the plane.
     """
-    coeff = (state.matrix.T * (-1.0) ** np.arange(state.dim))[None]   # rho^T Pi
-    doubled = (2.0 * np.asarray(pt[0], float), 2.0 * np.asarray(pt[1], float))
-    return _contract_displacement(doubled, coeff, lambda re, im: re[0] / math.pi)
+    return _tensor_values(_wigner_tensor(state), math.sqrt(2.0), pt)
+
+
+def _tensor_grid(coeffs: np.ndarray, scale: float, extent: float, step: float,
+                 kind: str) -> GridFunction:
+    """sum_ab coeffs[a, b] h_a(scale q) h_b(scale p) on the square |q|, |p| <= extent."""
+    ax = (-extent, extent, step)
+    basis = hermite_basis(len(coeffs) - 1, scale * uniform_axis(*ax))
+    return GridFunction((ax, ax), basis.T @ coeffs @ basis, meta={"kind": kind})
 
 
 def wigner_grid(state: TruncatedState, extent: float = DEFAULT_EXTENT,
                 step: float = DEFAULT_STEP) -> GridFunction:
     """Wigner function tabulated on the square |q|, |p| <= extent."""
-    ax = (-extent, extent, step)
-    return GridFunction.sample2d(
-        lambda qs, ps: wigner(state, (qs, ps)), ax, ax,
-        meta={"kind": "wigner"},
-    )
+    return _tensor_grid(_wigner_tensor(state), math.sqrt(2.0), extent, step, "wigner")
 
 
 def gk_grid(state: TruncatedState, kernel: TruncatedState,
             extent: float = DEFAULT_EXTENT, step: float = DEFAULT_STEP) -> GridFunction:
     """Covariant-observable density tabulated on the square grid."""
-    ax = (-extent, extent, step)
-    return GridFunction.sample2d(
-        lambda qs, ps: gk_density(state, kernel, (qs, ps)), ax, ax,
-        meta={"kind": "gk"},
-    )
+    return _tensor_grid(_gk_tensor(state, kernel), 1.0, extent, step, "gk")
 
 
 def radon(grid: GridFunction, theta: float, t):
@@ -87,17 +79,16 @@ def radon(grid: GridFunction, theta: float, t):
     interpolated and summed by the composite trapezoid rule at the grid
     step.  Points beyond the grid count as zero, which the boundary-decay
     check at BOUNDARY_TOL justifies.  Angles are reduced modulo 2 pi
-    first, so the transform is exactly periodic.
+    first, so the transform is exactly periodic.  A NaN or infinite angle
+    or line offset raises DomainError.
     """
-    if grid.ndim != 2:
-        raise DomainError("radon needs a 2D grid")
     grid.require_decayed(BOUNDARY_TOL)
-    theta = math.remainder(theta, 2.0 * math.pi)
+    theta = math.remainder(_require_finite("theta", theta), 2.0 * math.pi)
     (q0, q1, hq), (p0, p1, hp) = grid.axes
     h = min(hq, hp)
     half = 0.5 * max(q1 - q0, p1 - p0)
     s = np.arange(-half, half + 0.5 * h, h)
-    ta = np.atleast_1d(np.asarray(t, dtype=float))
+    ta = _require_finite("t", np.atleast_1d(np.asarray(t, dtype=float)))
     c, sn = math.cos(theta), math.sin(theta)
     qs = ta[:, None] * c - s[None, :] * sn
     ps = ta[:, None] * sn + s[None, :] * c

@@ -196,6 +196,16 @@ def test_exit_code_non_finite_kernel_argument(capsys, args):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("args", [["--nu-var", "inf"], ["--mu-var", "nan"]])
+def test_exit_code_non_finite_probe_variance(capsys, args):
+    code, out, err = run_cli(capsys, "moments-demo", "--state", "vacuum", "--dim", "6",
+                             "--k-max", "4", *args)
+    assert code == 2
+    assert out == ""
+    assert "must be finite" in err
+    assert "Traceback" not in err
+
+
 def test_exit_code_infinite_grid(capsys):
     code, out, err = run_cli(capsys, "quad-density", "--state", "vacuum", "--dim", "4",
                              "--grid=-inf:inf:1")

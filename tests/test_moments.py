@@ -153,3 +153,16 @@ def test_sequential_demo_variance_independent(rng, random_pure):
 def test_sequential_demo_order_cap():
     with pytest.raises(DomainError):
         sequential_demo(vacuum_state(6), 0.5, 0.1, 0.1, 17)
+
+
+@pytest.mark.parametrize("values", [(math.nan, 0.0, 1.0), (1.0, math.nan, 1.0),
+                                    (1.0, 0.0, math.inf), (1.0, -math.inf, 1.0)])
+def test_moment_sequence_rejects_non_finite(values):
+    with pytest.raises(DomainError, match="must be finite"):
+        MomentSequence(values)
+
+
+@pytest.mark.parametrize("mean, var", [(math.nan, 0.5), (math.inf, 0.5), (0.0, math.nan), (0.0, math.inf)])
+def test_gaussian_moments_reject_non_finite(mean, var):
+    with pytest.raises(DomainError, match="must be finite"):
+        gaussian_moments(mean, var, 4)

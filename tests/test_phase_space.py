@@ -15,6 +15,7 @@ from quadsuite import (
     coherent_state,
     displacement_matrix,
     gk_density,
+    gk_grid,
     number_state,
     pure_state,
     quadrature_density,
@@ -27,7 +28,8 @@ from quadsuite import (
     vacuum_state,
     wigner,
 )
-from quadsuite.fock import _panel_rule
+from quadsuite.fock import _panel_rule, hermite_basis
+from quadsuite.phase_space import _beam_splitter
 
 
 def displacement_matrix_expm(pt, dim):
@@ -197,6 +199,40 @@ def test_contraction_with_zero_diagonals_matches_displacement_matrix(rng, state,
     _assert_contraction_matches_matrix(state, kernel, rng.uniform(-7.0, 7.0, size=(30, 2)))
 
 
+def test_full_rank_dim40_pair_matches_displacement_matrix(rng, random_mixed):
+    # the pair the engine took minutes for: 40 x 40 eigenpairs
+    state, kernel = random_mixed(rng, 40), random_mixed(rng, 40)
+    _assert_contraction_matches_matrix(state, kernel, np.array([[0.0, 0.0], [1.3, -0.4], [-2.0, 2.5]]))
+
+
+def test_wigner_of_full_support_dim400_state_matches_displacement_matrix(rng, random_pure):
+    state = random_pure(rng, 400, 400)
+    pts = np.array([[0.0, 0.0], [1.3, -0.4], [-2.0, 2.5]])
+    got = wigner(state, (pts[:, 0], pts[:, 1]))
+    parity = (-1.0) ** np.arange(400)
+    for (q, p), val in zip(pts, got):
+        w = displacement_matrix((2 * q, 2 * p), 400)
+        want = np.einsum("mn,nm,m->", state.matrix, w, parity).real / math.pi
+        assert abs(val - want) <= 1e-13
+
+
+def test_beam_splitter_rotates_hermite_products():
+    x, y = 0.3, -0.7
+    hx, hy, hu, hv = hermite_basis(14, np.array([x, y, (x + y) / math.sqrt(2.0), (x - y) / math.sqrt(2.0)])).T
+    for L, lo, band in _beam_splitter(9, 6):
+        m = np.arange(lo, lo + len(band))
+        assert m[-1] < 9 and L - m[0] < 6
+        np.testing.assert_allclose(band @ (hu[: L + 1] * hv[L::-1]), hx[m] * hy[L - m], rtol=0, atol=1e-15)
+
+
+def test_beam_splitter_bands_stay_orthogonal_to_dim_400():
+    levels = 0
+    for L, lo, band in _beam_splitter(400, 400):
+        assert np.max(np.abs(band @ band.T - np.eye(len(band)))) <= 1e-12
+        levels += 1
+    assert levels == 799            # L = 0..798
+
+
 def test_gk_density_normalization():
     st = coherent_state(0.5 + 0.5j, 30)
     kernel = number_state(0, 30)
@@ -218,6 +254,8 @@ def test_pointwise_densities_reject_nan_points():
 def test_gk_density_dim_mismatch():
     with pytest.raises(DomainError):
         gk_density(vacuum_state(10), vacuum_state(12), (0.0, 0.0))
+    with pytest.raises(DomainError, match="share one truncation"):
+        gk_grid(vacuum_state(10), vacuum_state(12), extent=6.0, step=0.5)
 
 
 def test_vacuum_vacuum_marginal_is_standard_normal():

@@ -4,7 +4,7 @@ Hypothesis draws the states, angles and points; every test is
 derandomized, keeps no example database, and runs at most 25 examples
 with dimensions up to 12, so the suite is reproducible and quick.  The
 reconstruction round trip needs J >= 2 dim - 1 angles to separate the
-bands.
+bands; the covariant density's mass 2 pi is read off its Hermite tensor.
 """
 
 import csv
@@ -26,24 +26,31 @@ from quadsuite import (
     quadrature_density,
     reconstruct_state,
     rotate_state,
+    radon,
     rotated_marginal_density,
     state_from_matrix,
     trace_pair,
     vacuum_state,
+    wigner,
+    wigner_grid,
 )
 from quadsuite.cli import main
+from quadsuite.phase_space import _gk_tensor
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=25)
 
 angles = st.floats(-2.0 * math.pi, 2.0 * math.pi)
 points = st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=20).map(np.array)
+phase_points = st.lists(st.tuples(st.floats(-6.0, 6.0), st.floats(-6.0, 6.0)),
+                        min_size=1, max_size=20).map(np.array)
 non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
 
 
 @st.composite
-def states(draw, max_dim=12):
-    """A random density matrix of random rank on up to max_dim levels."""
-    dim = draw(st.integers(1, max_dim))
+def states(draw, max_dim=12, dim=None):
+    """A random density matrix of random rank on up to max_dim levels, or
+    on exactly dim levels when dim is given."""
+    dim = dim or draw(st.integers(1, max_dim))
     rank = draw(st.integers(1, dim))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     a = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
@@ -124,6 +131,24 @@ def test_reconstruction_round_trip(data):
     assert np.linalg.norm(rebuilt.matrix - state.matrix) <= 1e-6
 
 
+@PROPERTY
+@given(states(), phase_points)
+def test_wigner_bounded_by_one_over_pi(state, pts):
+    assert np.max(np.abs(wigner(state, (pts[:, 0], pts[:, 1])))) <= 1.0 / math.pi + 1e-14
+
+
+@PROPERTY
+@given(st.data())
+def test_gk_tensor_has_mass_two_pi(data):
+    state = data.draw(states())
+    kernel = data.draw(states(dim=state.dim))
+    coeffs = _gk_tensor(state, kernel)
+    # int h_f = sqrt(2) int h_f(sqrt(2) y) dy, exact on len(coeffs) Gauss-Hermite nodes
+    y, w = np.polynomial.hermite.hermgauss(len(coeffs))
+    integrals = math.sqrt(2.0) * hermite_basis(len(coeffs) - 1, math.sqrt(2.0) * y) @ (w * np.exp(y * y))
+    assert abs(integrals @ coeffs @ integrals - 2.0 * math.pi) <= 1e-12
+
+
 intervals = st.tuples(st.floats(-3.0, 2.5), st.floats(0.1, 2.0)).map(
     lambda pair: IntervalSet.of((pair[0], pair[0] + pair[1]))
 )
@@ -142,7 +167,11 @@ def test_trace_pair_even_in_theta(X, Y, theta, dim):
 def test_non_finite_input_raises_domain_error(bad, bad_points):
     state = vacuum_state(3)
     x = np.array([0.0, 1.0])
+    grid = wigner_grid(state, extent=6.0, step=0.5)
     for call in (
+        lambda: radon(grid, bad, x),
+        lambda: radon(grid, 0.3, bad),
+        lambda: radon(grid, 0.3, bad_points),
         lambda: quadrature_density(state, bad, x),
         lambda: quadrature_density(state, 0.3, bad_points),
         lambda: rotate_state(state, bad),

@@ -8,6 +8,7 @@ from quadsuite import (
     CoverageError,
     DomainError,
     coherent_state,
+    gk_density,
     gk_grid,
     number_state,
     quadrature_density,
@@ -154,6 +155,16 @@ def test_gk_grid_agrees_with_marginal():
     slice_vals = radon(grid, 0.4, xs) / (2.0 * math.pi)
     marg = rotated_marginal_density(st, kernel, 0.4, xs)
     np.testing.assert_allclose(slice_vals, marg, atol=1e-5)
+
+
+def test_grids_equal_pointwise_values(rng, random_mixed):
+    state, kernel = random_mixed(rng, 12), random_mixed(rng, 12)
+    w = wigner_grid(state, extent=6.0, step=0.2)
+    g = gk_grid(state, kernel, extent=6.0, step=0.2)
+    qs = w.axis_points(0)
+    mesh = (qs[:, None], qs[None, :])
+    np.testing.assert_allclose(w.values, wigner(state, mesh), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(g.values, gk_density(state, kernel, mesh), rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("axis", [(-math.inf, math.inf, 1.0), (0.0, math.inf, 0.5),
