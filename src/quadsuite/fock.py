@@ -48,6 +48,10 @@ EIGENVALUE_FLOOR = -1e-10
 LEAKAGE_WARN = 1e-8
 
 MAX_FUNCTION_DEGREE = 2000
+# Twice the turning point sqrt(2 n + 1) of the top degree: beyond it every
+# h_n with n <= MAX_FUNCTION_DEGREE is below e^-4000, far under the smallest
+# double, so those columns are exact zeros and never reach x*x or _far_basis.
+_ZERO_BEYOND = 2.0 * math.sqrt(2 * MAX_FUNCTION_DEGREE + 1)
 
 _STATE_GRAMMAR = "vacuum | number:<n> | coherent:<re>,<im> | squeezed:<r>,<phi> | file:<path>"
 _STATE_ARITY = {"vacuum": (0,), "number": (1,), "coherent": (1, 2), "squeezed": (2,), "file": (1,)}
@@ -63,12 +67,18 @@ def hermite_basis(n_max: int, x) -> np.ndarray:
     recurrence h_{k+1} = sqrt(2/(k+1)) x h_k - sqrt(k/(k+1)) h_{k-1},
     which is stable for every k; far outside the support the values
     underflow gracefully to zero.  Points beyond |x| = 37, where the seed
-    h_0 nears the bottom of double range, are redone by :func:`_far_basis`.
-    NaN or infinite points raise DomainError.
+    h_0 nears the bottom of double range, are redone by :func:`_far_basis`;
+    beyond |x| = 126.5 every value is exactly zero.  NaN or infinite points
+    raise DomainError.
     """
     if not 0 <= n_max <= MAX_FUNCTION_DEGREE:
         raise DomainError(f"degree {n_max} outside [0, {MAX_FUNCTION_DEGREE}]")
     xa = _require_finite("x", np.atleast_1d(np.asarray(x, dtype=float)))
+    near = np.abs(xa) <= _ZERO_BEYOND
+    if not near.all():
+        out = np.zeros((n_max + 1, xa.size))
+        out[:, near] = hermite_basis(n_max, xa[near])
+        return out
     out = np.empty((n_max + 1, xa.size), dtype=float)
     out[0] = np.pi ** -0.25 * np.exp(-0.5 * xa * xa)
     if n_max >= 1:

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import dawsn, gammaln
+from scipy.special import binom, dawsn
 
 from .domains import IntervalSet, _require_finite, uniform_axis
 from .errors import ConditioningError, ConvergenceError, DomainError
@@ -38,11 +38,13 @@ MAX_KERNEL_INDEX = 6
 SERIES_RTOL = 1e-12
 SERIES_MAX_TERMS = 500
 SERIES_QUIET_RUN = 5
+SERIES_CANCELLATION_LIMIT = 1e-9   # largest eps * sum_k |term_k| the series may carry
 
 MIN_DATASET_ANGLES = 32
 MAX_DATASET_STEP = 0.02
 CONDITION_LIMIT = 1e10
 
+_SERIES_FIRST_TERMS = 64
 _KERNEL_CHUNK = 1 << 14    # kernel values per block of angles in gk_from_quadrature_data
 
 
@@ -86,54 +88,42 @@ def _kernel_derivative_form(n: int, t: np.ndarray) -> np.ndarray:
 def _kernel_series_form(n: int, t: np.ndarray) -> np.ndarray:
     """Alternating Hermite series sum_{k>=n} C(k,n)(-1)^(k-n) k!/(2^k (2k)!) H_2k(t).
 
-    Terms decay like 2^-k; the Hermite values are carried with a running
-    per-element log scale so intermediate H_2k never overflow.  Stops after
-    five consecutive terms below 1e-12 of the running maximum.
+    Since H_2k(t) = pi^(1/4) sqrt(4^k (2k)!) e^(t^2/2) h_2k(t), term k is
+    C(k,n)(-1)^(k-n) pi^(1/4) k!/sqrt((2k)!) e^(t^2/2) h_2k(t): every term
+    comes from one :func:`hermite_basis` table, whose size doubles from
+    64 terms until five consecutive terms fall below 1e-12 of the running
+    maximum.  The terms grow to about e^(t^2/2) before they cancel, so
+    once eps * sum_k |term_k| exceeds SERIES_CANCELLATION_LIMIT at any
+    point the sum has lost its digits and ConvergenceError is raised.
     """
-    mant_prev = np.ones_like(t)          # scaled H_{m-1}
-    mant_cur = 2.0 * t                   # scaled H_m at m = 1
-    log_scale = np.zeros_like(t)
-    out = np.zeros_like(t)
-    running_max = 0.0
-    if n == 0:                           # k = 0 term: H_0 = 1
-        out += 1.0
-        running_max = 1.0
-    quiet = 0
-    m = 1
-    for k in range(1, SERIES_MAX_TERMS + 1):
-        while m < 2 * k:                 # advance the recurrence to H_{2k}
-            mant_prev, mant_cur = (
-                mant_cur,
-                2.0 * t * mant_cur - 2.0 * m * mant_prev,
+    with np.errstate(over="ignore"):
+        weight = np.exp(0.5 * t * t)          # inf past |t| ~ 37.6
+    k = np.arange(SERIES_MAX_TERMS + 1)
+    ratios = np.sqrt(k[1:] / (4.0 * k[1:] - 2.0))   # k!/sqrt((2k)!) over its value at k - 1
+    coeffs = (np.pi ** 0.25 * binom(k, n) * (-1.0) ** (k - n)
+              * np.concatenate(([1.0], np.cumprod(ratios))))
+    size = _SERIES_FIRST_TERMS
+    while np.isfinite(weight).all():          # an infinite weight cancels away outright
+        size = min(size, SERIES_MAX_TERMS + 1)
+        terms = coeffs[:size, None] * hermite_basis(2 * size - 2, t)[::2]
+        terms *= weight
+        peaks = np.abs(terms).max(axis=1)
+        quiet = peaks < SERIES_RTOL * np.maximum.accumulate(peaks)
+        quiet[: max(n, 1)] = False            # terms k < n are zero; k = 0 only seeds the maximum
+        runs = np.flatnonzero(np.convolve(quiet, np.ones(SERIES_QUIET_RUN), "valid") == SERIES_QUIET_RUN)
+        kept = terms[: runs[0] + SERIES_QUIET_RUN] if runs.size else terms
+        if np.finfo(float).eps * np.abs(kept).sum(axis=0).max() > SERIES_CANCELLATION_LIMIT:
+            break
+        if runs.size:
+            return kept.sum(axis=0)
+        if size > SERIES_MAX_TERMS:
+            raise ConvergenceError(
+                f"Hermite series for kernel index {n} did not settle in {SERIES_MAX_TERMS} terms"
             )
-            m += 1
-            peak = np.maximum(np.abs(mant_cur), np.abs(mant_prev))
-            peak = np.where(peak > 0, peak, 1.0)
-            big = peak > 1e100
-            if np.any(big):
-                shrink = np.where(big, peak, 1.0)
-                mant_cur = mant_cur / shrink
-                mant_prev = mant_prev / shrink
-                log_scale = log_scale + np.log(shrink)
-        if k < n:
-            continue
-        log_coeff = (
-            gammaln(k + 1) - gammaln(n + 1) - gammaln(k - n + 1)   # log C(k,n)
-            + gammaln(k + 1) - k * math.log(2.0) - gammaln(2 * k + 1)
-        )
-        sign = np.sign(mant_cur) * (-1.0) ** (k - n)
-        with np.errstate(divide="ignore"):
-            magnitude = np.exp(log_coeff + log_scale + np.log(np.abs(mant_cur)))
-        term = np.where(mant_cur == 0.0, 0.0, sign * magnitude)
-        out += term
-        largest = float(np.max(np.abs(term)))
-        running_max = max(running_max, largest)
-        quiet = quiet + 1 if largest < SERIES_RTOL * running_max else 0
-        if quiet >= SERIES_QUIET_RUN:
-            return out
+        size *= 2
     raise ConvergenceError(
-        f"Hermite series for kernel index {n} did not settle in "
-        f"{SERIES_MAX_TERMS} terms"
+        f"Hermite series for kernel index {n} loses more than {SERIES_CANCELLATION_LIMIT:.0e} "
+        f"to cancellation at |t| up to {np.max(np.abs(t)):.3g}; use the derivative form"
     )
 
 
@@ -142,9 +132,12 @@ def markov_kernel_number(n: int, pt, theta: float, x, form: str = "derivative"):
 
     Depends on its arguments only through t = x - q cos(theta) - p sin(theta).
     ``form`` selects the Dawson-derivative expression or the Hermite series;
-    the two agree to better than 1e-6 on |t| <= 4.  At n = 0, t = 0 the
-    value is exactly 2.  NaN or infinite theta, point or x raise
-    DomainError.
+    the two agree to better than 1e-8 on |t| <= 4.  The series cancels
+    terms of size e^(t^2/2), so it raises ConvergenceError wherever
+    rounding could cost more than 1e-9: from |t| = 6.4 at n = 0 down to
+    |t| = 5.4 at n = 6.  The derivative form holds for every finite t.
+    At n = 0, t = 0 the value is exactly 2.  NaN or infinite theta, point
+    or x raise DomainError.
     """
     if not 0 <= n <= MAX_KERNEL_INDEX:
         raise DomainError(f"kernel index {n} outside [0, {MAX_KERNEL_INDEX}]")

@@ -102,46 +102,32 @@ def radon(grid: GridFunction, theta: float, t):
     return vals
 
 
-def verify_wigner_radon(
-    state: TruncatedState,
-    theta: float,
-    *,
-    grid: GridFunction | None = None,
-    extent: float = DEFAULT_EXTENT,
-    step: float = DEFAULT_STEP,
-    xs: np.ndarray | None = None,
-) -> float:
+def _radon_gap(grid: GridFunction, theta: float, density) -> float:
+    """Max-abs gap between the Radon slice of the grid at angle theta and
+    density(xs) on |x| <= 6 at the grid step."""
+    xs = uniform_axis(-6.0, 6.0, grid.axes[0][2])
+    return float(np.max(np.abs(radon(grid, theta, xs) - density(xs))))
+
+
+def verify_wigner_radon(state: TruncatedState, theta: float, *, grid: GridFunction | None = None,
+                        extent: float = DEFAULT_EXTENT, step: float = DEFAULT_STEP) -> float:
     """Max-abs gap between the Radon slice of the Wigner function and the
-    quadrature density at angle theta.
+    quadrature density at angle theta, on |x| <= 6 at the grid step.
 
     Pass a precomputed ``grid`` to amortize the Wigner tabulation across
-    angles.  Default comparison points are |x| <= 6 at the grid step.
+    angles.
     """
     if grid is None:
         grid = wigner_grid(state, extent, step)
-    if xs is None:
-        xs = uniform_axis(-6.0, 6.0, step)
-    sliced = radon(grid, theta, xs)
-    direct = quadrature_density(state, theta, xs)
-    return float(np.max(np.abs(sliced - direct)))
+    return _radon_gap(grid, theta, lambda xs: quadrature_density(state, theta, xs))
 
 
-def verify_gk_radon(
-    state: TruncatedState,
-    kernel: TruncatedState,
-    theta: float,
-    *,
-    grid: GridFunction | None = None,
-    extent: float = DEFAULT_EXTENT,
-    step: float = DEFAULT_STEP,
-    xs: np.ndarray | None = None,
-) -> float:
+def verify_gk_radon(state: TruncatedState, kernel: TruncatedState, theta: float, *,
+                    grid: GridFunction | None = None, extent: float = DEFAULT_EXTENT,
+                    step: float = DEFAULT_STEP) -> float:
     """Max-abs gap between the Radon slice of the covariant density and
     2 pi times the rotated marginal (the smeared quadrature density)."""
     if grid is None:
         grid = gk_grid(state, kernel, extent, step)
-    if xs is None:
-        xs = uniform_axis(-6.0, 6.0, step)
-    sliced = radon(grid, theta, xs)
-    direct = 2.0 * math.pi * rotated_marginal_density(state, kernel, theta, xs)
-    return float(np.max(np.abs(sliced - direct)))
+    return _radon_gap(grid, theta,
+                      lambda xs: 2.0 * math.pi * rotated_marginal_density(state, kernel, theta, xs))

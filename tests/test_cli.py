@@ -99,6 +99,14 @@ def test_markov_kernel_forms_match(capsys):
         assert abs(float(a["value"]) - float(b["value"])) < 1e-9
 
 
+def test_markov_kernel_series_refuses_cancelled_digits(capsys):
+    code, out, err = run_cli(capsys, "markov-kernel", "--form", "series", "--grid=-10:10:0.1")
+    assert code == 4
+    assert out == ""
+    assert "cancellation" in err
+    assert "Traceback" not in err
+
+
 def test_tomo_roundtrip(tmp_path, capsys):
     dataset = tmp_path / "data.txt"
     code, _, _ = run_cli(

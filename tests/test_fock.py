@@ -21,6 +21,7 @@ from quadsuite import (
     overlap_matrix,
     parity_conjugate,
     pure_state,
+    quadrature_density,
     rotate_state,
     save_state,
     squeezed_state,
@@ -80,6 +81,16 @@ def test_hermite_basis_beyond_seed_underflow(n, x):
         want = _mpmath_hermite_function(k, x)
         assert abs(column[k] - want) <= 1e-12 * abs(want) + 1e-300
     assert np.all(np.isfinite(column))
+
+
+@pytest.mark.parametrize("x", [126.6, -1e10, 1e154, -1.7e308])
+def test_hermite_basis_zero_far_beyond_support(x):
+    # exact zeros, and no overflow or cast warning on the way
+    basis = hermite_basis(2000, np.array([0.5, x, 1.0]))
+    assert not basis[:, 1].any()
+    np.testing.assert_array_equal(basis[:, [0, 2]], hermite_basis(2000, np.array([0.5, 1.0])))
+    assert not hermite_basis(3, [x]).any()
+    assert quadrature_density(number_state(3, 6), 0.4, np.array([x])) == 0.0
 
 
 def test_hermite_basis_consistent_with_single_calls():

@@ -126,6 +126,19 @@ def test_fitted_density_matches_quadrature(rng):
     )
 
 
+def test_fitted_density_degree_limit():
+    xs = np.arange(-6.0, 6.0001, 0.01)
+    st = number_state(8, 9)
+    density = fit_gaussian_polynomial_density(quadrature_moment_sequence(st, 0.0, 16), 16)
+    np.testing.assert_allclose(density(xs), quadrature_density(st, 0.0, xs), atol=1e-8)
+    # one degree further the monomial Gram system loses its digits
+    # (an error of 30 against a density below 0.6 at degree 30)
+    for degree in (18, 30):
+        st = number_state(degree // 2, degree // 2 + 1)
+        with pytest.raises(DomainError, match="exceeds 16"):
+            fit_gaussian_polynomial_density(quadrature_moment_sequence(st, 0.0, degree), degree)
+
+
 def test_sequential_demo_recovers_exactly():
     rep = sequential_demo(number_state(1, 12), math.pi / 3.0, 0.4, 0.7, 12)
     assert rep["max_rel_error"] < 1e-9

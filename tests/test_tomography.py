@@ -74,7 +74,7 @@ def test_dawson_derivatives_vector_shape():
 
 def test_kernel_forms_agree():
     ts = np.arange(-4.0, 4.0001, 0.05)
-    for n in range(3):
+    for n in range(tomography.MAX_KERNEL_INDEX + 1):
         d = markov_kernel_number(n, (0.0, 0.0), 0.0, ts, form="derivative")
         s = markov_kernel_number(n, (0.0, 0.0), 0.0, ts, form="series")
         assert np.max(np.abs(d - s)) < 1e-8
@@ -117,6 +117,24 @@ def test_kernel_series_convergence_guard(monkeypatch):
     monkeypatch.setattr(tomography, "SERIES_MAX_TERMS", 3)
     with pytest.raises(ConvergenceError):
         markov_kernel_number(1, (0.0, 0.0), 0.0, np.array([2.0]), form="series")
+
+
+@pytest.mark.parametrize("n", [0, 2, 6])
+@pytest.mark.parametrize("t", [8.0, -10.0, 30.0, 40.0, 1e10])
+def test_kernel_series_refuses_cancelled_digits(n, t):
+    # the terms reach e^(t^2/2) before they cancel, so at t = 10 rounding
+    # swamps the kernel value -0.0102; past |t| = 37.6 the weight
+    # e^(t^2/2) overflows, and neither case may warn
+    with pytest.raises(ConvergenceError, match="cancellation"):
+        markov_kernel_number(n, (0.0, 0.0), 0.0, np.array([0.5, t]), form="series")
+
+
+def test_kernel_series_keeps_the_benchmark_range():
+    ts = np.linspace(-4.0 - math.sqrt(2.0), 4.0 + math.sqrt(2.0), 201)
+    for n in range(3):
+        d = markov_kernel_number(n, (0.0, 0.0), 0.0, ts, form="derivative")
+        s = markov_kernel_number(n, (0.0, 0.0), 0.0, ts, form="series")
+        assert np.max(np.abs(d - s)) < 1e-7
 
 
 def test_dataset_validation():

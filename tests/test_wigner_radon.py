@@ -22,6 +22,7 @@ from quadsuite import (
     wigner,
     wigner_grid,
 )
+from quadsuite import wigner_radon
 
 # tr[rho W(2q,2p) Pi] / pi for the seed-11 dim-5 mixed state, evaluated
 # with scipy expm displacements at truncation 220
@@ -144,6 +145,16 @@ def test_verify_gk_radon_small():
         vacuum_state(10), number_state(1, 10), 1.0, extent=9.0, step=0.05
     )
     assert report < 1e-4
+
+
+def test_verify_compares_at_the_grid_step(monkeypatch):
+    seen = []
+    monkeypatch.setattr(wigner_radon, "radon", lambda grid, theta, t: seen.append(t) or radon(grid, theta, t))
+    st, kern = vacuum_state(10), number_state(1, 10)
+    verify_gk_radon(st, kern, 1.0, grid=gk_grid(st, kern, 9.0, 0.05))
+    verify_wigner_radon(st, 0.6, grid=wigner_grid(st, 6.0, 0.04))
+    np.testing.assert_array_equal(seen[0], uniform_axis(-6.0, 6.0, 0.05))
+    np.testing.assert_array_equal(seen[1], uniform_axis(-6.0, 6.0, 0.04))
 
 
 def test_gk_grid_agrees_with_marginal():
