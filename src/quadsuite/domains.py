@@ -77,15 +77,6 @@ class IntervalSet:
     def is_bounded(self) -> bool:
         return all(math.isfinite(a) and math.isfinite(b) for a, b in self.intervals)
 
-    def clipped(self, lo: float, hi: float) -> list[tuple[float, float]]:
-        """Intersection with [lo, hi] as a list of finite intervals."""
-        out = []
-        for a, b in self.intervals:
-            a2, b2 = max(a, lo), min(b, hi)
-            if a2 < b2:
-                out.append((a2, b2))
-        return out
-
 
 @dataclass
 class GridFunction:

@@ -5,9 +5,11 @@ of the harmonic oscillator.  The basis functions are
 
     h_n(x) = (2^n n! sqrt(pi))^(-1/2) H_n(x) exp(-x^2/2),
 
-with H_n the physicists' Hermite polynomials, and all integrals against
-them are done with Gauss-Legendre panels on the effective support
-|x| <= sqrt(2 n + 1) + 6, beyond which h_n is below 1e-15.
+with H_n the physicists' Hermite polynomials.  Integrals over an interval
+set X are exact and come from the values at its ends, [f]_X = sum f(b) - f(a):
+h_n'' = (x^2 - 2n - 1) h_n makes h_n' h_m - h_n h_m' an antiderivative of
+2 (m - n) h_n h_m, and the rest follow by recurrence from
+int h_0^2 = [erf]_X / 2 and int h_0 = pi^(1/4) [erf(x/sqrt 2)]_X / sqrt 2.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ EIGENVALUE_FLOOR = -1e-10
 LEAKAGE_WARN = 1e-8
 
 MAX_FUNCTION_DEGREE = 2000
-# Twice the turning point sqrt(2 n + 1) of the top degree: beyond it every
+# Twice the turning point sqrt(2 n + 1) of the top degree: from it on every
 # h_n with n <= MAX_FUNCTION_DEGREE is below e^-4000, far under the smallest
 # double, so those columns are exact zeros and never reach x*x or _far_basis.
 _ZERO_BEYOND = 2.0 * math.sqrt(2 * MAX_FUNCTION_DEGREE + 1)
@@ -56,8 +58,6 @@ _ZERO_BEYOND = 2.0 * math.sqrt(2 * MAX_FUNCTION_DEGREE + 1)
 _STATE_GRAMMAR = "vacuum | number:<n> | coherent:<re>,<im> | squeezed:<r>,<phi> | file:<path>"
 _STATE_ARITY = {"vacuum": (0,), "number": (1,), "coherent": (1, 2), "squeezed": (2,), "file": (1,)}
 _SEED_FLOOR = 1e-297   # h_0 at |x| = 37, near the bottom of double range
-_PANEL_WIDTH = 0.25
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 
 
 def hermite_basis(n_max: int, x) -> np.ndarray:
@@ -74,7 +74,7 @@ def hermite_basis(n_max: int, x) -> np.ndarray:
     if not 0 <= n_max <= MAX_FUNCTION_DEGREE:
         raise DomainError(f"degree {n_max} outside [0, {MAX_FUNCTION_DEGREE}]")
     xa = _require_finite("x", np.atleast_1d(np.asarray(x, dtype=float)))
-    near = np.abs(xa) <= _ZERO_BEYOND
+    near = np.abs(xa) < _ZERO_BEYOND
     if not near.all():
         out = np.zeros((n_max + 1, xa.size))
         out[:, near] = hermite_basis(n_max, xa[near])
@@ -120,52 +120,57 @@ def hermite_function(n: int, x):
     return vals if isinstance(x, np.ndarray) else float(vals[0])
 
 
-def _support_bound(n_max: int) -> float:
-    return math.sqrt(2.0 * n_max + 1.0) + 6.0
+def _ends(X: IntervalSet) -> tuple[np.ndarray, np.ndarray]:
+    """The ends of the pieces of X and their signs in [f]_X = sum f(b) - f(a),
+    clipped to +-_ZERO_BEYOND, where every h_n is an exact zero and erf is
+    +-1, so infinite ends need no branch."""
+    ends = np.clip(np.asarray(X.intervals), -_ZERO_BEYOND, _ZERO_BEYOND).ravel()
+    return ends, np.resize([-1.0, 1.0], ends.size)
 
 
-def _panel_rule(pieces) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes/weights over finite intervals, panels <= 0.25 wide."""
-    xs, ws = [], []
-    for a, b in pieces:
-        n_panels = max(1, math.ceil((b - a) / _PANEL_WIDTH))
-        bounds = np.linspace(a, b, n_panels + 1)
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-            xs.append(mid + half * _GL_NODES)
-            ws.append(half * _GL_WEIGHTS)
-    if not xs:
-        return np.empty(0), np.empty(0)
-    return np.concatenate(xs), np.concatenate(ws)
+def _line_integrals(X: IntervalSet, n_max: int) -> np.ndarray:
+    """J_a = int_X h_a for a <= n_max, from J_0 = pi^(1/4) [erf(x/sqrt 2)]_X / sqrt 2
+    by J_(k+1) = sqrt(k/(k+1)) J_(k-1) - sqrt(2/(k+1)) [h_k]_X, the integral of
+    2 h_k' = sqrt(2k) h_(k-1) - sqrt(2(k+1)) h_(k+1)."""
+    ends, signs = _ends(X)
+    brackets = (hermite_basis(n_max, ends) @ signs).tolist()
+    erf = sum(s * math.erf(e / math.sqrt(2.0)) for e, s in zip(ends, signs))
+    out = [0.0, np.pi**0.25 * erf / math.sqrt(2.0)]          # J_(-1), J_0
+    for k in range(n_max):
+        out.append(math.sqrt(k / (k + 1)) * out[-2] - math.sqrt(2.0 / (k + 1)) * brackets[k])
+    return np.array(out[1:])
 
 
 def overlap(X: IntervalSet, n: int, m: int) -> float:
-    """Integral of h_n h_m over the interval set X.
-
-    Exactly symmetric in (n, m); over the full line it reproduces the
-    orthonormality relation to quadrature accuracy.
-    """
+    """Integral of h_n h_m over the interval set X; the (n, m) entry of
+    :func:`overlap_matrix`."""
     if n < 0 or m < 0:
         raise DomainError("Fock indices must be nonnegative")
-    bound = _support_bound(max(n, m))
-    xs, ws = _panel_rule(X.clipped(-bound, bound))
-    if xs.size == 0:
-        return 0.0
-    basis = hermite_basis(max(n, m), xs)
-    return float(np.sum(ws * basis[n] * basis[m]))
+    return float(overlap_matrix(X, max(n, m) + 1)[n, m])
 
 
 def overlap_matrix(X: IntervalSet, dim: int) -> np.ndarray:
-    """Matrix of overlap(X, n, m) for all n, m < dim."""
+    """Matrix of the integrals of h_n h_m over X for all n, m < dim.
+
+    Exact and exactly symmetric: off the diagonal
+    int_X h_n h_m = [sqrt(2n) h_(n-1) h_m - sqrt(2m) h_n h_(m-1)]_X / (2 (m - n)),
+    and on it int_X h_n^2 = int_X h_(n-1)^2 - [h_n h_(n-1)]_X / sqrt(2n) from
+    int_X h_0^2 = [erf]_X / 2.  Over the full line it is the identity.
+    """
     if dim < 1:
         raise DomainError("dim must be positive")
-    bound = _support_bound(dim - 1)
-    xs, ws = _panel_rule(X.clipped(-bound, bound))
-    if xs.size == 0:
-        return np.zeros((dim, dim))
-    basis = hermite_basis(dim - 1, xs)
-    mat = (basis * ws) @ basis.T
-    return 0.5 * (mat + mat.T)
+    ends, signs = _ends(X)
+    basis = hermite_basis(dim - 1, ends)
+    n = np.arange(dim)
+    cross = np.zeros((dim, dim))                        # [sqrt(2n) h_(n-1) h_m]_X
+    cross[1:] = (np.sqrt(2.0 * n[1:, None]) * basis[:-1] * signs) @ basis.T
+    gap = 2.0 * (n - n[:, None])
+    np.fill_diagonal(gap, 1.0)
+    mat = (cross - cross.T) / gap
+    steps = np.diag(cross)[1:] / (2.0 * n[1:])          # [h_n h_(n-1)]_X / sqrt(2n)
+    first = 0.5 * sum(s * math.erf(e) for e, s in zip(ends, signs))
+    np.fill_diagonal(mat, first - np.concatenate(([0.0], np.cumsum(steps))))
+    return mat
 
 
 # ---------------------------------------------------------------------------
@@ -241,10 +246,12 @@ def coherent_state(alpha: complex, dim: int) -> TruncatedState:
 
     Coefficients follow c_{n+1} = c_n alpha / sqrt(n+1) from
     c_0 = exp(-|alpha|^2 / 2); the lost tail mass is recorded as leakage.
+    A NaN or infinite alpha raises DomainError.
     """
-    alpha = complex(alpha)
+    alpha = _require_finite("alpha", complex(alpha))
+    size = math.hypot(alpha.real, alpha.imag)      # abs() raises past the largest double
     coeffs = np.empty(dim, dtype=complex)
-    coeffs[0] = math.exp(-0.5 * abs(alpha) ** 2)
+    coeffs[0] = math.exp(-0.5 * size * size)
     for n in range(dim - 1):
         coeffs[n + 1] = coeffs[n] * alpha / math.sqrt(n + 1)
     kept = float(np.sum(np.abs(coeffs) ** 2))
@@ -256,11 +263,14 @@ def squeezed_state(r: float, phi: float, dim: int) -> TruncatedState:
 
     At phi = 0 the position variance is exp(-2r)/2.  Only even levels are
     populated: c_{2k} = sqrt(sech r) (-tanh r)^k sqrt((2k)!)/(2^k k!), and
-    the rotation multiplies c_n by exp(i n phi).
+    the rotation multiplies c_n by exp(i n phi).  A NaN or infinite r or
+    phi raises DomainError.
     """
+    _require_finite("r", r)
+    _require_finite("phi", phi)
     coeffs = np.zeros(dim, dtype=complex)
     th = math.tanh(r)
-    amp = math.sqrt(1.0 / math.cosh(r))
+    amp = math.exp(-0.5 * abs(r)) * math.sqrt(2.0 / (1.0 + math.exp(-2.0 * abs(r))))   # sqrt(sech r)
     k = 0
     while 2 * k < dim:
         coeffs[2 * k] = amp

@@ -139,9 +139,11 @@ def fit_gaussian_polynomial_density(moments: MomentSequence, degree: int):
     integral x^(k+j) exp(-x^2) dx = Gamma((k+j+1)/2) for even k+j.  Returns
     a callable density; a finite-Fock quadrature distribution with support
     on h_0..h_n is recovered exactly using degree 2 n.  The monomial system
-    loses digits fast with degree, so a degree above MAX_DEMO_ORDER raises
-    DomainError.
+    loses digits fast with degree, so a degree above MAX_DEMO_ORDER, or
+    a negative one, raises DomainError.
     """
+    if degree < 0:
+        raise DomainError(f"degree {degree} is negative")
     if degree > MAX_DEMO_ORDER:
         raise DomainError(f"degree {degree} exceeds {MAX_DEMO_ORDER}; the monomial fit loses precision")
     _require_order(moments, degree, "moments")

@@ -32,7 +32,7 @@ from scipy.linalg import eigvalsh_tridiagonal
 
 from .domains import IntervalSet, _require_finite
 from .errors import DomainError
-from .fock import TruncatedState, hermite_basis, _panel_rule, _support_bound
+from .fock import TruncatedState, hermite_basis, _line_integrals
 # quadrature_density stays importable from here: the benchmark's tracer test reads it
 from .quadrature import _quadrature_density, quadrature_density  # noqa: F401
 
@@ -176,12 +176,12 @@ def gk_density(state: TruncatedState, kernel: TruncatedState, pt):
     return _tensor_values(_gk_tensor(state, kernel), 1.0, pt)
 
 
-def _hermite_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Hermite nodes u (Golub-Welsch) and lam = w e^(u^2), taken as
-    the reciprocal Christoffel function 1 / sum_{k<n} h_k(u)^2."""
+def _hermite_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gauss-Hermite nodes u (Golub-Welsch), the table h_k(u) for k < n, and
+    lam = w e^(u^2), the reciprocal Christoffel function 1 / sum_k h_k(u)^2."""
     u = eigvalsh_tridiagonal(np.zeros(n), np.sqrt(np.arange(1.0, n) / 2.0))
     basis = hermite_basis(n - 1, u)
-    return u, 1.0 / np.einsum("ki,ki->i", basis, basis)
+    return u, basis, 1.0 / np.einsum("ki,ki->i", basis, basis)
 
 
 def rotated_marginal_density(state: TruncatedState, kernel: TruncatedState, theta: float, t):
@@ -196,7 +196,7 @@ def rotated_marginal_density(state: TruncatedState, kernel: TruncatedState, thet
     """
     ta = _require_finite("t", np.asarray(t, dtype=float))
     src, ker = _trimmed(state), _trimmed(kernel)
-    u, lam = _hermite_rule(src.dim + ker.dim - 1)
+    u, _, lam = _hermite_rule(src.dim + ker.dim - 1)
     half, lam = u / math.sqrt(2.0), lam / math.sqrt(2.0)
     flat = ta.ravel()
     out = np.empty(flat.size)
@@ -224,13 +224,12 @@ def strip_probability(state: TruncatedState, kernel: TruncatedState, theta: floa
     """Probability that the rotated coordinate falls in X: the measure of
     the strip over X in the rotated frame.
 
-    Integrates the rotated marginal over X with Gauss-Legendre panels.  The
-    marginal is the law of a sum of the two quadratures, so it is negligible
-    outside the sum of their support bounds.
+    Exact for every X.  The rotated marginal M is exp(-t^2/2) times a
+    polynomial of degree 2 (n_s + n_k), so M = sum_(a<N) c_a h_a with
+    N = 2 (n_s + n_k) + 1, and N Gauss-Hermite nodes give
+    c_a = sum_i lam_i M(u_i) h_a(u_i) exactly.  The probability is
+    sum_a c_a int_X h_a, with the integrals from the ends of X.
     """
-    _require_finite("theta", theta)
-    bound = _support_bound(_trimmed(state).dim - 1) + _support_bound(_trimmed(kernel).dim - 1)
-    nodes, ws = _panel_rule(X.clipped(-bound, bound))
-    if nodes.size == 0:
-        return 0.0
-    return min(1.0, max(0.0, float(np.dot(ws, rotated_marginal_density(state, kernel, theta, nodes)))))
+    u, basis, lam = _hermite_rule(2 * (_trimmed(state).dim + _trimmed(kernel).dim) - 3)
+    coeffs = basis @ (lam * rotated_marginal_density(state, kernel, theta, u))
+    return min(1.0, max(0.0, float(coeffs @ _line_integrals(X, u.size - 1))))

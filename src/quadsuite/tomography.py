@@ -96,6 +96,8 @@ def _kernel_series_form(n: int, t: np.ndarray) -> np.ndarray:
     once eps * sum_k |term_k| exceeds SERIES_CANCELLATION_LIMIT at any
     point the sum has lost its digits and ConvergenceError is raised.
     """
+    if t.size == 0:
+        return np.zeros_like(t)
     with np.errstate(over="ignore"):
         weight = np.exp(0.5 * t * t)          # inf past |t| ~ 37.6
     k = np.arange(SERIES_MAX_TERMS + 1)
@@ -165,18 +167,11 @@ def tomography_probability(state: TruncatedState, angles: IntervalSet,
     for a, b in angles.intervals:
         if not (0.0 <= a and b <= 2.0 * math.pi + 1e-15):
             raise DomainError("angle set must lie within [0, 2 pi)")
-    dim = state.dim
-    d = np.arange(dim)[:, None] - np.arange(dim)[None, :]
-    phase = np.zeros((dim, dim), dtype=complex)
-    for a, b in angles.intervals:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            seg = np.where(
-                d == 0,
-                b - a,
-                (np.exp(1j * d * b) - np.exp(1j * d * a)) / (1j * np.where(d == 0, 1, d)),
-            )
-        phase += seg
-    op = overlap_matrix(X, dim) * phase / (2.0 * math.pi)
+    d = np.arange(state.dim)[:, None] - np.arange(state.dim)
+    # int_a^b e^(i d theta) dtheta = (b - a) e^(i d (a + b)/2) sinc(d (b - a) / (2 pi))
+    phase = sum((b - a) * np.exp(0.5j * d * (a + b)) * np.sinc(d * (b - a) / (2.0 * math.pi))
+                for a, b in angles.intervals)
+    op = overlap_matrix(X, state.dim) * phase / (2.0 * math.pi)
     val = float(np.sum(state.matrix * op.T).real)
     return min(1.0, max(0.0, val))
 

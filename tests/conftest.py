@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -31,3 +33,21 @@ def random_mixed():
         return state_from_matrix(rho / np.trace(rho).real)
 
     return make
+
+
+@pytest.fixture(scope="session")
+def panel_rule():
+    """Oracle quadrature: 20 Gauss-Legendre nodes per panel at most 0.25
+    wide over each finite interval (lo, hi); returns (nodes, weights)."""
+    nodes, weights = np.polynomial.legendre.leggauss(20)
+
+    def rule(pieces):
+        xs, ws = [], []
+        for lo, hi in pieces:
+            edges = np.linspace(lo, hi, max(1, math.ceil((hi - lo) / 0.25)) + 1)
+            mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+            xs.append((mid[:, None] + half[:, None] * nodes).ravel())
+            ws.append((half[:, None] * weights).ravel())
+        return np.concatenate(xs), np.concatenate(ws)
+
+    return rule

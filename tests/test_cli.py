@@ -184,6 +184,20 @@ def test_exit_code_state_file_with_nan(tmp_path, capsys):
     assert "NaN" in err
 
 
+@pytest.mark.parametrize("spec,want,message", [
+    ("coherent:nan,0", 2, "alpha must be finite"),
+    ("squeezed:nan,0", 2, "r must be finite"),
+    ("squeezed:0.5,inf", 2, "phi must be finite"),
+    ("coherent:1e300,0", 3, "zero norm"),
+])
+def test_exit_code_non_finite_or_overflowing_state(capsys, spec, want, message):
+    code, out, err = run_cli(capsys, "quad-density", "--state", spec, "--dim", "4", "--grid=-1:1:1")
+    assert code == want
+    assert out == ""
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_exit_code_nan_angle(capsys):
     code, out, err = run_cli(
         capsys, "strip-prob", "--state", "vacuum", "--kernel", "vacuum", "--dim", "16",

@@ -28,7 +28,6 @@ from quadsuite import (
     state_from_matrix,
     vacuum_state,
 )
-from quadsuite.fock import _support_bound
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 17, 40])
@@ -61,7 +60,7 @@ def test_hermite_function_high_order_stays_bounded():
     vals = hermite_function(1500, xs)
     assert np.all(np.isfinite(vals))
     assert np.max(np.abs(vals)) < np.pi ** -0.25 + 1e-12
-    outside = np.abs(xs) > _support_bound(1500)
+    outside = np.abs(xs) > math.sqrt(2 * 1500 + 1) + 6.0
     assert np.max(np.abs(vals[outside])) < 1e-12
 
 
@@ -108,13 +107,19 @@ def test_overlap_orthonormality():
 
 @pytest.mark.parametrize(
     "a,b,n,m",
-    [(0.0, 1.0, 0, 0), (-0.7, 0.4, 2, 5), (1.2, 3.8, 7, 7), (-2.0, -0.5, 1, 6)],
+    [(0.0, 1.0, 0, 0), (-0.7, 0.4, 2, 5), (1.2, 3.8, 7, 7), (-2.0, -0.5, 1, 6),
+     (-math.inf, 0.3, 3, 5), (0.8, math.inf, 4, 4), (-math.inf, -9.0, 40, 41), (12.0, math.inf, 60, 58)],
 )
 def test_overlap_matches_quadrature_oracle(a, b, n, m):
     ref, _ = quad(
         lambda x: hermite_function(n, x) * hermite_function(m, x), a, b, limit=200
     )
     assert abs(overlap(IntervalSet.of((a, b)), n, m) - ref) < 1e-12
+
+
+@pytest.mark.parametrize("dim", [12, 400, 2000])
+def test_full_line_gram_is_exactly_the_identity(dim):
+    assert np.array_equal(overlap_matrix(IntervalSet.full_line(), dim), np.eye(dim))
 
 
 def test_overlap_disjoint_pieces_add():
@@ -170,6 +175,19 @@ def test_squeezed_position_variance():
     st = squeezed_state(0.4, 0.0, 60)
     var = quadrature_moment(st, 0.0, 2) - quadrature_moment(st, 0.0, 1) ** 2
     assert abs(var - math.exp(-0.8) / 2.0) < 1e-10
+
+
+def test_state_parameters_non_finite_or_overflowing():
+    # NaN or infinite parameters are domain errors; a finite amplitude too
+    # large for any level to keep weight leaves a zero vector, as at |alpha| = 40
+    for build in (lambda: coherent_state(complex(math.nan, 0.0), 4), lambda: coherent_state(math.inf, 4),
+                  lambda: squeezed_state(math.nan, 0.0, 4), lambda: squeezed_state(0.5, math.inf, 4)):
+        with pytest.raises(DomainError, match="must be finite"):
+            build()
+    for build in (lambda: coherent_state(40.0, 4), lambda: coherent_state(1e300, 4),
+                  lambda: coherent_state(complex(1.7e308, 1.7e308), 4), lambda: squeezed_state(1000.0, 0.0, 4)):
+        with pytest.raises(StateValidationError, match="zero norm"):
+            build()
 
 
 def test_gaussian_pure_state_realizes_covariance():

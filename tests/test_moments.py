@@ -137,6 +137,8 @@ def test_fitted_density_degree_limit():
         st = number_state(degree // 2, degree // 2 + 1)
         with pytest.raises(DomainError, match="exceeds 16"):
             fit_gaussian_polynomial_density(quadrature_moment_sequence(st, 0.0, degree), degree)
+    with pytest.raises(DomainError, match="negative"):
+        fit_gaussian_polynomial_density(quadrature_moment_sequence(st, 0.0, 2), -1)
 
 
 def test_sequential_demo_recovers_exactly():

@@ -28,7 +28,7 @@ from quadsuite import (
     vacuum_state,
     wigner,
 )
-from quadsuite.fock import _panel_rule, hermite_basis
+from quadsuite.fock import hermite_basis
 from quadsuite.phase_space import _beam_splitter
 
 
@@ -325,7 +325,7 @@ def test_marginal_of_padded_state_equals_unpadded(rng):
     assert abs(big_strip - small_strip) < 1e-13
 
 
-def test_marginal_of_top_level_pair_against_panel_oracle():
+def test_marginal_of_top_level_pair_against_panel_oracle(panel_rule):
     # n_s + n_k = 798 puts the outer Gauss-Hermite nodes near |u| = 40, where
     # the seed exp(-u^2/2) of the Hermite recurrence underflows
     st = number_state(399, 400)
@@ -334,7 +334,7 @@ def test_marginal_of_top_level_pair_against_panel_oracle():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = rotated_marginal_density(st, kernel, 0.6, ts)
-    xs, ws = _panel_rule([(-40.0, 40.0)])
+    xs, ws = panel_rule([(-40.0, 40.0)])
     dens = quadrature_density(st, 0.6, xs)
     kprime = rotate_state(kernel, math.pi - 0.6)
     want = [np.dot(ws, dens * quadrature_density(kprime, 0.0, t - xs)) for t in ts]

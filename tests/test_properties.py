@@ -23,12 +23,14 @@ from quadsuite import (
     generate_dataset,
     hermite_basis,
     make_state,
+    overlap_matrix,
     quadrature_density,
     reconstruct_state,
     rotate_state,
     radon,
     rotated_marginal_density,
     state_from_matrix,
+    strip_probability,
     trace_pair,
     vacuum_state,
     wigner,
@@ -160,6 +162,46 @@ intervals = st.tuples(st.floats(-3.0, 2.5), st.floats(0.1, 2.0)).map(
 def test_trace_pair_even_in_theta(X, Y, theta, dim):
     forward, backward = trace_pair(X, Y, theta, dim), trace_pair(X, Y, -theta, dim)
     assert abs(forward - backward) <= 1e-14 * max(1.0, abs(forward))
+
+
+ends = st.floats(-12.0, 12.0) | st.sampled_from([-math.inf, math.inf])
+
+
+@st.composite
+def windows(draw):
+    """An interval set of one to three pieces with ends drawn from ends."""
+    cuts = sorted(set(draw(st.lists(ends, min_size=2, max_size=6))))
+    pieces = list(zip(cuts[::2], cuts[1::2]))
+    return IntervalSet(tuple(pieces)) if pieces else IntervalSet.full_line()
+
+
+@PROPERTY
+@given(st.floats(-12.0, 12.0), st.floats(0.01, 5.0), st.floats(0.01, 5.0), ends, ends, st.integers(1, 12))
+def test_overlap_matrix_additive_over_a_split(cut, left, right, far_left, far_right, dim):
+    for lo, hi in ((cut - left, cut + right), (min(far_left, cut - left), max(far_right, cut + right))):
+        whole = overlap_matrix(IntervalSet.of((lo, hi)), dim)
+        parts = overlap_matrix(IntervalSet.of((lo, cut)), dim) + overlap_matrix(IntervalSet.of((cut, hi)), dim)
+        np.testing.assert_allclose(whole, parts, rtol=0, atol=1e-14)
+
+
+@PROPERTY
+@given(states(), states(), angles, windows())
+def test_strip_and_its_complement_sum_to_one(state, kernel, theta, X):
+    cuts = [end for piece in X.intervals for end in piece]
+    edges = [-math.inf, *cuts, math.inf]
+    rest = [(a, b) for a, b in zip(edges[::2], edges[1::2]) if a < b]
+    inside = strip_probability(state, kernel, theta, X)
+    outside = strip_probability(state, kernel, theta, IntervalSet(tuple(rest))) if rest else 0.0
+    assert abs(inside + outside - 1.0) <= 1e-14
+
+
+@PROPERTY
+@given(states(), states(), angles, windows())
+def test_strip_matches_panel_oracle(panel_rule, state, kernel, theta, X):
+    # the marginal is below 1e-30 beyond |t| = 40 at these dims
+    nodes, weights = panel_rule([(max(a, -40.0), min(b, 40.0)) for a, b in X.intervals])
+    want = weights @ rotated_marginal_density(state, kernel, theta, nodes)
+    assert abs(strip_probability(state, kernel, theta, X) - want) <= 1e-13
 
 
 @PROPERTY

@@ -78,6 +78,8 @@ def test_kernel_forms_agree():
         d = markov_kernel_number(n, (0.0, 0.0), 0.0, ts, form="derivative")
         s = markov_kernel_number(n, (0.0, 0.0), 0.0, ts, form="series")
         assert np.max(np.abs(d - s)) < 1e-8
+    for form in ("derivative", "series"):
+        assert markov_kernel_number(1, (0.0, 0.0), 0.0, np.array([]), form=form).shape == (0,)
 
 
 def test_kernel_value_at_origin():
