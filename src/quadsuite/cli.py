@@ -1,8 +1,10 @@
 """Command-line front door.
 
 Every subcommand is a thin adapter over the library: parse flags, call
-one or two library functions, format rows.  Output is deterministic
-(fixed float formatting, no timestamps), CSV by default, JSON on request.
+one or two library functions, and return the result as named columns,
+which one %-format renders as CSV (floats as %.12e, text csv-quoted).
+Output is deterministic (fixed float formatting, no timestamps), CSV by
+default, JSON built from the same columns on request.
 
 Heavy imports happen after the thread cap is applied, so --threads (or
 the QUADSUITE_THREADS environment variable) can bound BLAS parallelism.
@@ -11,7 +13,6 @@ the QUADSUITE_THREADS environment variable) can bound BLAS parallelism.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
@@ -176,33 +177,27 @@ def _square_extent(grid) -> tuple[float, float]:
     return hi, step
 
 
-def _grid_rows(grid_fn):
-    from . import domains
+def _grid_columns(grid) -> dict:
+    import numpy as np
 
-    qs = domains.uniform_axis(*grid_fn.axes[0])
-    ps = domains.uniform_axis(*grid_fn.axes[1])
-    for i, q in enumerate(qs):
-        for j, p in enumerate(ps):
-            yield {"q": q, "p": p, "value": grid_fn.values[i, j]}
+    q, p = np.meshgrid(grid.axis_points(0), grid.axis_points(1), indexing="ij")
+    return {"q": q.ravel(), "p": p.ravel(), "value": grid.values.ravel()}
 
 
-def _run(args) -> tuple[list[dict], object]:
-    """Execute one subcommand; returns (rows, json_payload)."""
+def _run(args) -> tuple[dict, object]:
+    """Execute one subcommand; returns (columns, json_payload): each named
+    column is a 1D array or list, and a None payload means JSON of the columns."""
     import quadsuite as lib
 
     if args.command == "quad-density":
         state = lib.make_state(args.state, args.dim)
         xs = lib.uniform_axis(*args.grid)
-        dens = lib.quadrature_density(state, args.theta, xs)
-        rows = [{"x": x, "density": d} for x, d in zip(xs, dens)]
-        return rows, rows
+        return {"x": xs, "density": lib.quadrature_density(state, args.theta, xs)}, None
 
     if args.command == "wigner":
         state = lib.make_state(args.state, args.dim)
         extent, step = _square_extent(args.grid)
-        grid = lib.wigner_grid(state, extent=extent, step=step)
-        rows = list(_grid_rows(grid))
-        return rows, rows
+        return _grid_columns(lib.wigner_grid(state, extent=extent, step=step)), None
 
     if args.command == "radon":
         state = lib.make_state(args.state, args.dim)
@@ -210,19 +205,14 @@ def _run(args) -> tuple[list[dict], object]:
         xs = lib.uniform_axis(*args.grid)
         slice_vals = lib.radon(grid, args.theta, xs)
         dens = lib.quadrature_density(state, args.theta, xs)
-        rows = [
-            {"x": x, "radon": r, "quadrature": d, "difference": r - d}
-            for x, r, d in zip(xs, slice_vals, dens)
-        ]
-        return rows, rows
+        return {"x": xs, "radon": slice_vals, "quadrature": dens,
+                "difference": slice_vals - dens}, None
 
     if args.command == "gk-density":
         state = lib.make_state(args.state, args.dim)
         kernel = lib.make_state(args.kernel, args.dim)
         extent, step = _square_extent(args.grid)
-        grid = lib.gk_grid(state, kernel, extent=extent, step=step)
-        rows = list(_grid_rows(grid))
-        return rows, rows
+        return _grid_columns(lib.gk_grid(state, kernel, extent=extent, step=step)), None
 
     if args.command == "strip-prob":
         state = lib.make_state(args.state, args.dim)
@@ -230,90 +220,90 @@ def _run(args) -> tuple[list[dict], object]:
         window = lib.IntervalSet.of(*args.intervals)
         prob = lib.strip_probability(state, kernel, args.theta, window)
         text = ";".join(f"{a:g},{b:g}" for a, b in args.intervals)
-        rows = [{"theta": args.theta, "intervals": text, "probability": prob}]
-        return rows, rows
+        return {"theta": [args.theta], "intervals": [text], "probability": [prob]}, None
 
     if args.command == "tomo-generate":
         state = lib.make_state(args.state, args.dim)
         data = lib.generate_dataset(state, args.angles, args.grid)
         buf = io.StringIO()
         lib.save_dataset(data, buf)
-        return [], buf.getvalue()
+        return {}, buf.getvalue()
 
     if args.command == "tomo-reconstruct":
         data = lib.load_dataset(args.input)
         rec = lib.reconstruct_state(data, args.dim)
         if args.state_output:
             lib.save_state(rec, args.state_output)
-        row = {
-            "dim": args.dim,
-            "angles": data.angles,
-            "clipped_mass": rec.meta["clipped_mass"],
-            "fit_residual": rec.meta["fit_residual"],
+        columns = {
+            "dim": [args.dim],
+            "angles": [data.angles],
+            "clipped_mass": [rec.meta["clipped_mass"]],
+            "fit_residual": [rec.meta["fit_residual"]],
         }
         if args.reference:
             ref = lib.make_state(args.reference, args.dim)
             import numpy as np
 
-            row["frobenius_error"] = float(
-                np.linalg.norm(rec.matrix - ref.matrix)
-            )
-        return [row], [row]
+            columns["frobenius_error"] = [float(np.linalg.norm(rec.matrix - ref.matrix))]
+        return columns, None
 
     if args.command == "markov-kernel":
         xs = lib.uniform_axis(*args.grid)
         vals = lib.markov_kernel_number(
             args.index, args.point, args.theta, xs, form=args.form
         )
-        rows = [{"x": x, "value": v} for x, v in zip(xs, vals)]
-        return rows, rows
+        return {"x": xs, "value": vals}, None
 
     if args.command == "moments-demo":
         state = lib.make_state(args.state, args.dim)
         report = lib.sequential_demo(
             state, args.theta, args.mu_var, args.nu_var, args.k_max
         )
-        rows = []
-        for label, channel in report["channels"].items():
-            for k in range(args.k_max + 1):
-                truth = channel["ground_truth"][k]
-                rec = channel["recovered"][k]
-                rows.append({
-                    "channel": label,
-                    "k": k,
-                    "ground_truth": truth,
-                    "smeared": channel["smeared"][k],
-                    "recovered": rec,
-                    "rel_error": abs(rec - truth) / max(1.0, abs(truth)),
-                })
-        return rows, report
+        channels, ks = report["channels"], range(args.k_max + 1)
+        columns = {"channel": [c for c in channels for _ in ks],
+                   "k": [k for _ in channels for k in ks]}
+        for key in ("ground_truth", "smeared", "recovered"):
+            columns[key] = [v for channel in channels.values() for v in channel[key]]
+        columns["rel_error"] = [abs(r - t) / max(1.0, abs(t)) for r, t in
+                                zip(columns["recovered"], columns["ground_truth"])]
+        return columns, report
 
     if args.command == "complementarity-report":
         summary = lib.complementarity_summary(args.dim, args.theta)
-        rows = [{"quantity": k, "value": v} for k, v in summary.items()]
-        return rows, summary
+        # the one column that mixes an int (dim) with floats
+        values = [v if isinstance(v, int) else "%.12e" % v for v in summary.values()]
+        return {"quantity": list(summary), "value": values}, summary
 
     raise _ConfigError(f"unknown command {args.command!r}")
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.12e}"
-    return str(value)
+def _csv_field(value) -> str:
+    """str(value), quoted when it holds a comma, a quote or a line break."""
+    text = str(value)
+    if any(c in text for c in ',"\r\n'):
+        text = '"' + text.replace('"', '""') + '"'
+    return text
 
 
-def _render(args, rows, payload) -> str:
+def _render(args, columns, payload) -> str:
+    """CSV through one %-format for the whole table (%.12e for a column of
+    floats, %s for ints and csv-quoted text), or JSON of the same columns."""
     if args.command == "tomo-generate":
         return payload
+    names = list(columns)
+    cells = [col.tolist() if hasattr(col, "tolist") else col for col in columns.values()]
     if args.format == "json":
+        if payload is None:
+            payload = [dict(zip(names, row)) for row in zip(*cells)]
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    if rows:
-        writer.writerow(rows[0].keys())
-        for row in rows:
-            writer.writerow(_format_cell(v) for v in row.values())
-    return buf.getvalue()
+    # a float array needs no scan of its entries
+    floats = [getattr(col, "dtype", None) == float or all(isinstance(v, float) for v in col)
+              for col in columns.values()]
+    cells = [col if is_float else [_csv_field(v) for v in col]
+             for col, is_float in zip(cells, floats)]
+    row_format = ",".join("%.12e" if is_float else "%s" for is_float in floats) + "\n"
+    flat = [v for row in zip(*cells) for v in row]
+    return ",".join(names) + "\n" + (row_format * len(cells[0])) % tuple(flat)
 
 
 def main(argv=None) -> int:
@@ -332,22 +322,20 @@ def main(argv=None) -> int:
     )
 
     try:
-        rows, payload = _run(args)
-        text = _render(args, rows, payload)
-    except _ConfigError as exc:
-        print(f"quadsuite: {exc}", file=sys.stderr)
-        return 2
+        columns, payload = _run(args)
+        text = _render(args, columns, payload)
     except StateValidationError as exc:
         print(f"quadsuite: invalid state: {exc}", file=sys.stderr)
         return 3
     except (CoverageError, ConvergenceError, ConditioningError) as exc:
         print(f"quadsuite: numerical contract failed: {exc}", file=sys.stderr)
         return 4
-    except DomainError as exc:
+    except (_ConfigError, DomainError, OSError) as exc:
         print(f"quadsuite: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"quadsuite: {exc}", file=sys.stderr)
+    except MemoryError as exc:
+        print(f"quadsuite: {args.command} needs more memory than is available: {exc}",
+              file=sys.stderr)
         return 2
 
     if args.output:

@@ -188,7 +188,8 @@ def weyl_relation_deviation(q: float, p: float, dim: int) -> float:
     _require_finite("p", p)
     q_mat = quadrature_matrix(0.0, dim)
     p_mat = quadrature_matrix(math.pi / 2.0, dim)
-    left = expm(-1j * q * p_mat) @ expm(1j * p * q_mat)
-    right = np.exp(-1j * q * p) * (expm(1j * p * q_mat) @ expm(-1j * q * p_mat))
+    shift_q, shift_p = expm(-1j * q * p_mat), expm(1j * p * q_mat)
+    left = shift_q @ shift_p
+    right = np.exp(-1j * q * p) * (shift_p @ shift_q)
     half = dim // 2
     return float(np.max(np.abs((left - right)[:half, :half])))

@@ -258,9 +258,9 @@ def save_dataset(data: QuadratureDataset, path) -> None:
     ``path`` may be a filesystem path or an open text stream.
     """
     lo, hi, step = data.x_axis
-    lines = [f"# {data.angles} {lo:.12e} {hi:.12e} {step:.12e}"]
-    lines.extend(" ".join(f"{v:.12e}" for v in row) for row in data.values)
-    text = "\n".join(lines) + "\n"
+    row_format = " ".join(["%.12e"] * data.values.shape[1]) + "\n"
+    text = (f"# {data.angles} {lo:.12e} {hi:.12e} {step:.12e}\n"
+            + (row_format * data.angles) % tuple(data.values.ravel().tolist()))
     if hasattr(path, "write"):
         path.write(text)
     else:

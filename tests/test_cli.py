@@ -298,3 +298,153 @@ def test_threads_env_fallback(capsys, monkeypatch):
     )
     assert code == 0
     assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
+
+
+def test_exit_code_out_of_memory(capsys):
+    # 2e17 grid points: numpy refuses the 1.4 EiB axis before it allocates anything
+    code, out, err = run_cli(capsys, "quad-density", "--state", "vacuum", "--dim", "4",
+                             "--grid=-1e12:1e12:1e-5")
+    assert code == 2
+    assert out == ""
+    assert "quad-density needs more memory than is available" in err
+    assert "Traceback" not in err
+
+
+# The row-by-row rendering the CLI output must keep byte for byte: csv.writer
+# over f"{v:.12e}" for floats and str() for everything else, or sorted JSON.
+def _row_csv(rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(rows[0].keys())
+    for row in rows:
+        writer.writerow(f"{v:.12e}" if isinstance(v, float) else str(v) for v in row.values())
+    return buf.getvalue()
+
+
+def _row_json(payload):
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _grid_rows(grid):
+    qs, ps = grid.axis_points(0), grid.axis_points(1)
+    return [{"q": q, "p": p, "value": grid.values[i, j]}
+            for i, q in enumerate(qs) for j, p in enumerate(ps)]
+
+
+def _reference(command, folder):
+    """(argv, rows, json payload) of one small call, rebuilt from library calls;
+    tomo-generate gives the dataset text in place of rows."""
+    import quadsuite as lib
+
+    if command == "quad-density":
+        xs = lib.uniform_axis(-2.0, 2.0, 0.25)
+        dens = lib.quadrature_density(lib.make_state("number:1", 8), 0.4, xs)
+        rows = [{"x": x, "density": d} for x, d in zip(xs, dens)]
+        return (["quad-density", "--state", "number:1", "--dim", "8", "--theta", "0.4",
+                 "--grid=-2:2:0.25"], rows, rows)
+    if command == "wigner":
+        rows = _grid_rows(lib.wigner_grid(lib.make_state("squeezed:0.3,0.2", 16),
+                                          extent=2.0, step=0.5))
+        return (["wigner", "--state", "squeezed:0.3,0.2", "--dim", "16", "--grid=-2:2:0.5"],
+                rows, rows)
+    if command == "radon":
+        state = lib.make_state("number:1", 10)
+        xs = lib.uniform_axis(-2.0, 2.0, 1.0)
+        slice_vals = lib.radon(lib.wigner_grid(state, extent=6.0, step=0.05), 0.7, xs)
+        dens = lib.quadrature_density(state, 0.7, xs)
+        rows = [{"x": x, "radon": r, "quadrature": d, "difference": r - d}
+                for x, r, d in zip(xs, slice_vals, dens)]
+        return (["radon", "--state", "number:1", "--dim", "10", "--theta", "0.7", "--grid=-2:2:1",
+                 "--extent", "6", "--step", "0.05"], rows, rows)
+    if command == "gk-density":
+        grid = lib.gk_grid(lib.make_state("coherent:0.5,0.2", 8), lib.make_state("number:1", 8),
+                           extent=2.0, step=0.5)
+        rows = _grid_rows(grid)
+        return (["gk-density", "--state", "coherent:0.5,0.2", "--kernel", "number:1", "--dim", "8",
+                 "--grid=-2:2:0.5"], rows, rows)
+    if command == "strip-prob":
+        window = lib.IntervalSet.of((0.0, 1.0), (2.0, math.inf))
+        prob = lib.strip_probability(lib.make_state("number:2", 12), lib.make_state("vacuum", 12),
+                                     0.3, window)
+        rows = [{"theta": 0.3, "intervals": "0,1;2,inf", "probability": prob}]
+        return (["strip-prob", "--state", "number:2", "--kernel", "vacuum", "--dim", "12",
+                 "--theta", "0.3", "--intervals", "0,1;2,inf"], rows, rows)
+    if command == "tomo-generate":
+        data = lib.generate_dataset(lib.make_state("number:1", 4), 8, (-6.0, 6.0, 0.5))
+        lines = ["# 8 -6.000000000000e+00 6.000000000000e+00 5.000000000000e-01"]
+        lines.extend(" ".join(f"{v:.12e}" for v in row) for row in data.values)
+        text = "\n".join(lines) + "\n"
+        return (["tomo-generate", "--state", "number:1", "--dim", "4", "--angles", "8",
+                 "--grid=-6:6:0.5"], text, text)
+    if command == "tomo-reconstruct":
+        path = folder / "data.txt"
+        lib.save_dataset(lib.generate_dataset(lib.make_state("number:1", 4), 8, (-6.0, 6.0, 0.05)),
+                         path)
+        data = lib.load_dataset(path)
+        rec = lib.reconstruct_state(data, 4)
+        rows = [{"dim": 4, "angles": data.angles, "clipped_mass": rec.meta["clipped_mass"],
+                 "fit_residual": rec.meta["fit_residual"],
+                 "frobenius_error": float(np.linalg.norm(
+                     rec.matrix - lib.make_state("number:1", 4).matrix))}]
+        return (["tomo-reconstruct", "--input", str(path), "--dim", "4",
+                 "--reference", "number:1"], rows, rows)
+    if command == "markov-kernel":
+        xs = lib.uniform_axis(-2.0, 2.0, 0.25)
+        vals = lib.markov_kernel_number(1, (0.3, -0.1), 0.2, xs, form="derivative")
+        rows = [{"x": x, "value": v} for x, v in zip(xs, vals)]
+        return (["markov-kernel", "--index", "1", "--theta", "0.2", "--point", "0.3,-0.1",
+                 "--grid=-2:2:0.25"], rows, rows)
+    if command == "moments-demo":
+        report = lib.sequential_demo(lib.make_state("number:1", 8), 1.0, 0.4, 0.2, 4)
+        rows = []
+        for label, channel in report["channels"].items():
+            for k in range(5):
+                truth, rec = channel["ground_truth"][k], channel["recovered"][k]
+                rows.append({"channel": label, "k": k, "ground_truth": truth,
+                             "smeared": channel["smeared"][k], "recovered": rec,
+                             "rel_error": abs(rec - truth) / max(1.0, abs(truth))})
+        return (["moments-demo", "--state", "number:1", "--dim", "8", "--theta", "1.0",
+                 "--mu-var", "0.4", "--nu-var", "0.2", "--k-max", "4"], rows, report)
+    if command == "complementarity-report":
+        summary = lib.complementarity_summary(24, 1.0)
+        rows = [{"quantity": k, "value": v} for k, v in summary.items()]
+        return ["complementarity-report", "--dim", "24", "--theta", "1.0"], rows, summary
+    raise ValueError(command)
+
+
+COMMANDS = ["quad-density", "wigner", "radon", "gk-density", "strip-prob", "tomo-generate",
+            "tomo-reconstruct", "markov-kernel", "moments-demo", "complementarity-report"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", COMMANDS)
+def test_output_is_byte_identical_to_row_rendering(tmp_path, capsys, command, fmt):
+    argv, rows, payload = _reference(command, tmp_path)
+    code, out, err = run_cli(capsys, *argv, "--format", fmt)
+    assert code == 0, err
+    if command == "tomo-generate":
+        assert out == rows            # the dataset text whatever the format
+    elif fmt == "json":
+        assert out == _row_json(payload)
+    else:
+        assert out == _row_csv(rows)
+    if (command, fmt) == ("complementarity-report", "csv"):
+        assert "\ndim,24\n" in out    # the int among floats stays an int
+    if (command, fmt) == ("strip-prob", "csv"):
+        assert ',"0,1;2,inf",' in out
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_grid_cells_nan_negative_zero_and_subnormal(monkeypatch, capsys, fmt):
+    import quadsuite as lib
+
+    values = np.array([[math.nan, -0.0, 5e-324], [math.inf, 0.0, -math.inf], [1.0, -1e-300, 2.0]])
+    grid = lib.GridFunction(((-1.0, 1.0, 1.0), (-1.0, 1.0, 1.0)), values)
+    monkeypatch.setattr(lib, "wigner_grid", lambda state, extent, step: grid)
+    code, out, _ = run_cli(capsys, "wigner", "--state", "vacuum", "--dim", "4",
+                           "--grid=-1:1:1", "--format", fmt)
+    assert code == 0
+    rows = _grid_rows(grid)
+    assert out == (_row_json(rows) if fmt == "json" else _row_csv(rows))
+    if fmt == "csv":
+        assert "nan" in out and "-0.000000000000e+00" in out and "4.940656458412e-324" in out

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import expm
 
 from quadsuite import (
     DomainError,
@@ -171,6 +172,19 @@ def test_angle_functions_reject_non_finite_angle(theta):
 def test_weyl_relation_small_deviation():
     assert weyl_relation_deviation(0.5, -0.3, 60) < 1e-8
     assert weyl_relation_deviation(0.0, 0.0, 10) < 1e-15
+
+
+@pytest.mark.parametrize("dim", [8, 60])
+def test_weyl_relation_equals_four_expm_formula(dim):
+    # each exponential is computed once and reused in both products
+    q, p = 0.7, -0.3
+    q_mat, p_mat = quadrature_matrix(0.0, dim), quadrature_matrix(math.pi / 2.0, dim)
+    left = expm(-1j * q * p_mat) @ expm(1j * p * q_mat)
+    right = np.exp(-1j * q * p) * (expm(1j * p * q_mat) @ expm(-1j * q * p_mat))
+    half = dim // 2
+    assert weyl_relation_deviation(q, p, dim) == float(
+        np.max(np.abs((left - right)[:half, :half]))
+    )
 
 
 @pytest.mark.parametrize("q,p", [(math.nan, 0.5), (0.5, math.inf), (-math.inf, 0.0)])

@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -170,6 +171,25 @@ def test_dataset_roundtrip_through_file(tmp_path):
     assert back.angles == 8
     assert back.x_axis == data.x_axis
     np.testing.assert_allclose(back.values, data.values, atol=1e-13)
+
+
+def test_save_dataset_matches_per_value_format(tmp_path):
+    path = tmp_path / "set.txt"
+    save_dataset(generate_dataset(number_state(1, 4), 4, (-8.0, 8.0, 0.5)), path)
+    data = load_dataset(path)                 # values that survive %.12e exactly
+    values = data.values.copy()
+    values[0, 0], values[1, -1] = -0.0, 5e-324
+    data = QuadratureDataset(4, data.x_axis, values)
+    buf = io.StringIO()
+    save_dataset(data, buf)
+    lo, hi, step = data.x_axis
+    lines = [f"# 4 {lo:.12e} {hi:.12e} {step:.12e}"]
+    lines.extend(" ".join(f"{v:.12e}" for v in row) for row in values)
+    assert buf.getvalue() == "\n".join(lines) + "\n"
+    save_dataset(data, path)
+    back = load_dataset(path)
+    assert back.values.tobytes() == values.tobytes()    # keeps -0.0 and the subnormal
+    assert (back.angles, back.x_axis) == (4, data.x_axis)
 
 
 def test_load_dataset_refuses_nan_sample(tmp_path):
