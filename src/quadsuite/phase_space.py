@@ -10,17 +10,14 @@ Phys. Rev. A 40 (1989) 1371), built by Risbo's two-sided recursion
 (J. Geodesy 70 (1996) 383), which keeps every band orthogonal.  The
 covariant density tr[rho W(z) K W(z)*] = 2 pi int W_rho(x) W_K(x - z) d^2x
 correlates two such tensors axis by axis, through the same beam splitter,
-into sum_eg G[e, g] h_e(q) h_g(p).  Both tables are exact for truncated
-states, so a value is a bilinear form in :func:`hermite_basis` rows.
+into sum_eg G[e, g] h_e(q) h_g(p); its axis table of about 8 D^3 doubles
+may not outgrow MAX_GK_TABLE (two full-support states fit up to D = 256).
+The same bands turn a quadrature density into one vector over h_a(sqrt(2) x)
+and a rotated marginal into one over h_e(t), all exact, with no node rule.
 
 The truncated Weyl operator itself comes from a normalized Laguerre
 recurrence that stays in double range on the documented domain
 dim <= 400, q^2 + p^2 <= 200.
-
-A rotated marginal convolves two quadrature densities, each exp(-x^2)
-times a polynomial, so a Gauss-Hermite rule (Golub-Welsch nodes, weights
-w e^(u^2) as reciprocal Christoffel sums of Hermite functions, which stay
-in double range) gives it exactly, with no grid or cut-off to tune.
 """
 
 from __future__ import annotations
@@ -28,13 +25,12 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
 
 from .domains import IntervalSet, _require_finite
 from .errors import DomainError
-from .fock import TruncatedState, hermite_basis, _line_integrals
+from .fock import TruncatedState, _line_integrals, _rotated, hermite_basis
 # quadrature_density stays importable from here: the benchmark's tracer test reads it
-from .quadrature import _quadrature_density, quadrature_density  # noqa: F401
+from .quadrature import quadrature_density  # noqa: F401
 
 __all__ = [
     "displacement_matrix",
@@ -46,6 +42,7 @@ __all__ = [
 
 MAX_DISPLACEMENT_DIM = 400
 MAX_RADIUS_SQ = 200.0
+MAX_GK_TABLE = 1 << 28    # doubles in the covariant tensor's axis table gamma (2 GiB)
 
 _CHUNK = 1 << 21      # values per chunk: Hermite rows x points, or tensor slices
 _PHASES = np.array([1.0, -1j, -1.0, 1j])     # (-i)^b by b mod 4
@@ -94,31 +91,49 @@ def _beam_splitter(rows: int, cols: int):
     yield 0, 0, band
     for L in range(1, rows + cols - 1):
         new_lo, hi = max(0, L - cols + 1), min(L, rows - 1)
+        scale = roots[: L + 1, None] / (math.sqrt(2.0) * L)
         wide = np.zeros((hi - new_lo + 2, L + 2))           # rows m - 1 = new_lo - 1..hi, a - 1 = -1..L
         wide[lo - new_lo + 1 : lo - new_lo + 1 + len(band), 1:-1] = band
-        top = wide[:-1] * (roots[new_lo : hi + 1, None] / (math.sqrt(2.0) * L))
-        bot = wide[1:] * (roots[L - hi : L - new_lo + 1][::-1, None] / (math.sqrt(2.0) * L))
+        top = wide[:-1] * scale[new_lo : hi + 1]
+        bot = wide[1:] * scale[L - hi : L - new_lo + 1][::-1]
         band = roots[: L + 1] * (top + bot)[:, :-1] + roots[L::-1] * (top - bot)[:, 1:]
         lo = new_lo
         yield L, lo, band
 
 
-def _trimmed(state: TruncatedState) -> TruncatedState:
-    """The state on its levels up to the highest one holding a nonzero entry."""
+def _trimmed(state: TruncatedState) -> np.ndarray:
+    """The density matrix on its levels up to the highest one holding a nonzero entry."""
     live = state.matrix != 0
     top = int(np.flatnonzero(live.any(axis=0) | live.any(axis=1))[-1])
-    return state if top == state.dim - 1 else TruncatedState(top + 1, state.matrix[: top + 1, : top + 1])
+    return state.matrix[: top + 1, : top + 1]
+
+
+def _line_masses(n_max: int):
+    """h_f(0) and I_f = int h_f = sqrt(2 pi) |h_f(0)| for f <= n_max."""
+    zeros = hermite_basis(n_max, 0.0)[:, 0]
+    return zeros, math.sqrt(2.0 * math.pi) * np.abs(zeros)
+
+
+def _band_sum(mat: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """v[e] = sum_L sum_m mat[m, L-m] B^L[m, e] ends[L-e], one band at a time.
+    Antidiagonal L of mat is a diagonal of its column-reversed view."""
+    rows, cols = mat.shape
+    flipped = mat[:, ::-1]
+    out = np.zeros(rows + cols - 1)
+    for L, _, band in _beam_splitter(rows, cols):
+        out[: L + 1] += (flipped.diagonal(cols - 1 - L) @ band) * ends[L::-1]
+    return out
 
 
 def _wigner_tensor(state: TruncatedState) -> np.ndarray:
     """C with W(q, p) = sum_ab C[a, b] h_a(sqrt(2) q) h_b(sqrt(2) p) for the
     trimmed state: C[a, L-a] = Re((-i)^(L-a) sum_m rho[m, L-m] B^L[m, a]) / sqrt(pi)."""
-    rho = _trimmed(state).matrix
-    dim = len(rho)
+    flipped = _trimmed(state)[:, ::-1]
+    dim = len(flipped)
     coeffs = np.zeros((2 * dim - 1, 2 * dim - 1))
-    for L, lo, band in _beam_splitter(dim, dim):
-        m, a = np.arange(lo, lo + len(band)), np.arange(L + 1)
-        coeffs[a, L - a] = (_PHASES[(L - a) % 4] * (rho[m, L - m] @ band)).real
+    for L, _, band in _beam_splitter(dim, dim):
+        a = np.arange(L + 1)
+        coeffs[a, L - a] = (_PHASES[(L - a) % 4] * (flipped.diagonal(dim - 1 - L) @ band)).real
     return coeffs / math.sqrt(math.pi)
 
 
@@ -128,15 +143,17 @@ def _gk_tensor(state: TruncatedState, kernel: TruncatedState) -> np.ndarray:
         int h_a(sqrt(2) x) h_c(sqrt(2) (x - z)) dx = sum_e gamma[e, a, c] h_e(z),
         gamma[e, a, c] = ((-1)^c / 2) B^(a+c)[a, e] I_(a+c-e),
 
-    with I_f = int h_f = sqrt(2 pi) |h_f(0)|, and G = 2 pi sum C_s[a, b]
-    C_k[c, d] gamma[e, a, c] gamma[g, b, d], one block of e at a time so
-    that no intermediate outgrows gamma."""
+    and G = 2 pi sum C_s[a, b] C_k[c, d] gamma[e, a, c] gamma[g, b, d], one
+    block of e at a time so that no intermediate outgrows gamma, which is
+    checked against MAX_GK_TABLE before anything is built."""
     if state.dim != kernel.dim:
         raise DomainError("state and kernel must share one truncation")
-    c_s, c_k = _wigner_tensor(state), _wigner_tensor(kernel)
-    ns, nk = len(c_s), len(c_k)
+    ns, nk = 2 * len(_trimmed(state)) - 1, 2 * len(_trimmed(kernel)) - 1
     ne = ns + nk - 1
-    integrals = math.sqrt(2.0 * math.pi) * np.abs(hermite_basis(ne - 1, 0.0)[:, 0])
+    if ne * ns * nk > MAX_GK_TABLE:
+        raise DomainError(f"covariant tensor needs {ne * ns * nk} doubles, above its budget {MAX_GK_TABLE}")
+    c_s, c_k = _wigner_tensor(state), _wigner_tensor(kernel)
+    _, integrals = _line_masses(ne - 1)
     gamma = np.zeros((ne, ns, nk))
     for L, lo, band in _beam_splitter(ns, nk):
         a = np.arange(lo, lo + len(band))
@@ -176,12 +193,16 @@ def gk_density(state: TruncatedState, kernel: TruncatedState, pt):
     return _tensor_values(_gk_tensor(state, kernel), 1.0, pt)
 
 
-def _hermite_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gauss-Hermite nodes u (Golub-Welsch), the table h_k(u) for k < n, and
-    lam = w e^(u^2), the reciprocal Christoffel function 1 / sum_k h_k(u)^2."""
-    u = eigvalsh_tridiagonal(np.zeros(n), np.sqrt(np.arange(1.0, n) / 2.0))
-    basis = hermite_basis(n - 1, u)
-    return u, basis, 1.0 / np.einsum("ki,ki->i", basis, basis)
+def _marginal_coeffs(state: TruncatedState, kernel: TruncatedState, theta: float) -> np.ndarray:
+    """m with the rotated marginal M(t) = sum_e m_e h_e(t).  The densities of
+    the state at theta and of the kernel at theta - pi are vectors p and k by
+    h_m(x) h_n(x) = sum_a B^(m+n)[m, a] h_a(sqrt(2) x) h_(m+n-a)(0), and
+    int h_a(sqrt(2) x) h_c(sqrt(2) (t - x)) dx = (1/2) sum_e B^(a+c)[a, e] I_(a+c-e) h_e(t)."""
+    rho, kap = _trimmed(state), _trimmed(kernel)
+    zeros, masses = _line_masses(2 * (len(rho) + len(kap)) - 4)
+    p = _band_sum(_rotated(rho, -theta).real, zeros)
+    k = _band_sum(_rotated(kap, math.pi - theta).real, zeros)
+    return 0.5 * _band_sum(np.outer(p, k), masses)
 
 
 def rotated_marginal_density(state: TruncatedState, kernel: TruncatedState, theta: float, t):
@@ -190,46 +211,29 @@ def rotated_marginal_density(state: TruncatedState, kernel: TruncatedState, thet
     This is the convolution M(t) = int p(x) k(t - x) dx of the quadrature
     density p of the state at angle theta with the position density k of
     the kernel rotated by pi - theta (its quadrature density at theta - pi):
-    an unsharp quadrature measurement.  With n_s and n_k the highest levels
-    holding a nonzero entry, n_s + n_k + 1 Gauss-Hermite nodes give it
-    exactly, M(t) = (1/sqrt(2)) sum_i lam_i p(t/2 + u_i/sqrt(2)) k(t/2 - u_i/sqrt(2)).
+    an unsharp quadrature measurement, exactly sum_e m_e h_e(t).
     """
     ta = _require_finite("t", np.asarray(t, dtype=float))
-    src, ker = _trimmed(state), _trimmed(kernel)
-    u, _, lam = _hermite_rule(src.dim + ker.dim - 1)
-    half, lam = u / math.sqrt(2.0), lam / math.sqrt(2.0)
-    flat = ta.ravel()
-    out = np.empty(flat.size)
-    rows = max(1, _CHUNK // (u.size * max(src.dim, ker.dim)))
-    for start in range(0, flat.size, rows):
-        mid = 0.5 * flat[start : start + rows, None]
-        vals = (_quadrature_density(src, theta, (mid + half).ravel())
-                * _quadrature_density(ker, theta - math.pi, (mid - half).ravel()))
-        out[start : start + rows] = vals.reshape(-1, u.size) @ lam
-    out = out.reshape(ta.shape)
+    coeffs = _marginal_coeffs(state, kernel, theta)
+    out, rows = np.empty(ta.shape), max(1, _CHUNK // len(coeffs))
+    for start in range(0, ta.size, rows):
+        out.flat[start : start + rows] = coeffs @ hermite_basis(len(coeffs) - 1, ta.flat[start : start + rows])
     return float(out) if out.ndim == 0 else out
 
 
 def cartesian_marginal_density(state, kernel, axis: str, t):
     """Position (axis='q') or momentum (axis='p') marginal; the theta = 0
     or pi/2 special case of :func:`rotated_marginal_density`."""
-    if axis == "q":
-        return rotated_marginal_density(state, kernel, 0.0, t)
-    if axis == "p":
-        return rotated_marginal_density(state, kernel, math.pi / 2.0, t)
-    raise DomainError(f"axis must be 'q' or 'p', got {axis!r}")
+    if axis not in ("q", "p"):
+        raise DomainError(f"axis must be 'q' or 'p', got {axis!r}")
+    return rotated_marginal_density(state, kernel, 0.0 if axis == "q" else math.pi / 2.0, t)
 
 
 def strip_probability(state: TruncatedState, kernel: TruncatedState, theta: float, X: IntervalSet) -> float:
     """Probability that the rotated coordinate falls in X: the measure of
     the strip over X in the rotated frame.
 
-    Exact for every X.  The rotated marginal M is exp(-t^2/2) times a
-    polynomial of degree 2 (n_s + n_k), so M = sum_(a<N) c_a h_a with
-    N = 2 (n_s + n_k) + 1, and N Gauss-Hermite nodes give
-    c_a = sum_i lam_i M(u_i) h_a(u_i) exactly.  The probability is
-    sum_a c_a int_X h_a, with the integrals from the ends of X.
+    Exact for every X: sum_e m_e int_X h_e, from the ends of X.
     """
-    u, basis, lam = _hermite_rule(2 * (_trimmed(state).dim + _trimmed(kernel).dim) - 3)
-    coeffs = basis @ (lam * rotated_marginal_density(state, kernel, theta, u))
-    return min(1.0, max(0.0, float(coeffs @ _line_integrals(X, u.size - 1))))
+    coeffs = _marginal_coeffs(state, kernel, theta)
+    return min(1.0, max(0.0, float(coeffs @ _line_integrals(X, len(coeffs) - 1))))

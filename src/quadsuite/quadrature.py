@@ -58,20 +58,13 @@ def quadrature_density(state: TruncatedState, theta: float, x):
     """Probability density of Q_theta at the points x.
 
     Equals sum_{n,m} rho_nm exp(-i(n-m)theta) h_n(x) h_m(x); real and
-    nonnegative up to rounding for a valid state.
+    nonnegative up to rounding for a valid state.  The basis is real, so
+    only the real part of the rotated matrix counts.
     """
     xa = _require_finite("x", np.atleast_1d(np.asarray(x, dtype=float)))
-    vals = _quadrature_density(state, theta, xa)
-    return vals if isinstance(x, np.ndarray) else float(vals[0])
-
-
-def _quadrature_density(state: TruncatedState, theta: float, xa: np.ndarray) -> np.ndarray:
-    """quadrature_density at a flat array of points already known finite.
-
-    The basis is real, so only the real part of the rotated matrix counts."""
-    rho = _rotated(state.matrix, -theta)
     basis = hermite_basis(state.dim - 1, xa)
-    return np.einsum("ni,ni->i", rho.real @ basis, basis)
+    vals = np.einsum("ni,ni->i", _rotated(state.matrix, -theta).real @ basis, basis)
+    return vals if isinstance(x, np.ndarray) else float(vals[0])
 
 
 def quadrature_probability(state: TruncatedState, theta: float, X: IntervalSet) -> float:

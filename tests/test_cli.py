@@ -310,6 +310,20 @@ def test_exit_code_out_of_memory(capsys):
     assert "Traceback" not in err
 
 
+def test_exit_code_covariant_tensor_budget(capsys, monkeypatch):
+    # the covariant tensor of two top-level dim-400 states is refused before it is built
+    import quadsuite.phase_space
+
+    monkeypatch.setattr(quadsuite.phase_space, "_wigner_tensor",
+                        lambda state: pytest.fail("a tensor was built"))
+    code, out, err = run_cli(capsys, "gk-density", "--state", "number:399", "--kernel", "number:399",
+                             "--dim", "400", "--grid=-1:1:1")
+    assert code == 2
+    assert out == ""
+    assert "budget" in err
+    assert "Traceback" not in err
+
+
 # The row-by-row rendering the CLI output must keep byte for byte: csv.writer
 # over f"{v:.12e}" for floats and str() for everything else, or sorted JSON.
 def _row_csv(rows):

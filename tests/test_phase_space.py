@@ -28,6 +28,7 @@ from quadsuite import (
     vacuum_state,
     wigner,
 )
+from quadsuite import phase_space
 from quadsuite.fock import hermite_basis
 from quadsuite.phase_space import _beam_splitter
 
@@ -258,6 +259,15 @@ def test_gk_density_dim_mismatch():
         gk_grid(vacuum_state(10), vacuum_state(12), extent=6.0, step=0.5)
 
 
+def test_covariant_tensor_refuses_a_table_above_its_budget(monkeypatch):
+    # two top-level states on 400 levels would need 799 x 799 x 1597 doubles
+    # (8.2 GB) for gamma; the budget is checked before any tensor is built
+    monkeypatch.setattr(phase_space, "_wigner_tensor", lambda state: pytest.fail("a tensor was built"))
+    st = number_state(399, 400)
+    with pytest.raises(DomainError, match="budget"):
+        gk_density(st, st, (0.0, 0.0))
+
+
 def test_vacuum_vacuum_marginal_is_standard_normal():
     st = vacuum_state(20)
     xs = np.linspace(-4.0, 4.0, 41)
@@ -326,8 +336,9 @@ def test_marginal_of_padded_state_equals_unpadded(rng):
 
 
 def test_marginal_of_top_level_pair_against_panel_oracle(panel_rule):
-    # n_s + n_k = 798 puts the outer Gauss-Hermite nodes near |u| = 40, where
-    # the seed exp(-u^2/2) of the Hermite recurrence underflows
+    # n_s + n_k = 798: the marginal's Hermite vector runs to degree 1596, and
+    # the oracle's nodes reach |x| = 40, where the seed exp(-x^2/2) of the
+    # Hermite recurrence underflows
     st = number_state(399, 400)
     kernel = number_state(399, 400)
     ts = np.array([0.0, 0.37, 5.1, -17.3, 30.2])
@@ -371,6 +382,20 @@ def test_strip_probability_against_grid_oracle():
     vals = gk_density(st, kernel, (qa, pa))
     ref = simpson(simpson(vals, dx=0.02), dx=0.01) / (2.0 * math.pi)
     assert abs(strip_probability(st, kernel, theta, window) - ref) < 1e-9
+
+
+def test_strip_of_full_support_dim120_state_against_panel_oracle(rng, random_pure, panel_rule):
+    # the strip as a double integral of p(x) k(t - x) over t in the window
+    # and x on the line, with k the kernel's density at theta - pi
+    st = random_pure(rng, 120, 120)
+    kernel = number_state(1, 120)
+    theta, window = 0.8, ((-0.4, 0.6),)
+    xs, ws = panel_rule([(-30.0, 30.0)])
+    dens = quadrature_density(st, theta, xs)
+    kprime = rotate_state(kernel, math.pi - theta)
+    ts, wt = panel_rule(window)
+    want = sum(w * np.dot(ws, dens * quadrature_density(kprime, 0.0, t - xs)) for t, w in zip(ts, wt))
+    assert abs(strip_probability(st, kernel, theta, IntervalSet(window)) - want) <= 1e-12
 
 
 def test_strip_probability_halves_and_whole(rng, random_pure):

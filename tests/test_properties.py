@@ -185,6 +185,14 @@ def test_overlap_matrix_additive_over_a_split(cut, left, right, far_left, far_ri
 
 
 @PROPERTY
+@given(states(), states(), angles)
+def test_marginal_nonnegative_with_unit_mass(state, kernel, theta):
+    ts = np.linspace(-15.0, 15.0, 301)
+    assert rotated_marginal_density(state, kernel, theta, ts).min() >= -1e-14
+    assert abs(strip_probability(state, kernel, theta, IntervalSet.full_line()) - 1.0) <= 1e-13
+
+
+@PROPERTY
 @given(states(), states(), angles, windows())
 def test_strip_and_its_complement_sum_to_one(state, kernel, theta, X):
     cuts = [end for piece in X.intervals for end in piece]
