@@ -22,6 +22,7 @@ dim <= 400, q^2 + p^2 <= 200.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -45,6 +46,7 @@ MAX_RADIUS_SQ = 200.0
 MAX_GK_TABLE = 1 << 28    # doubles in the covariant tensor's axis table gamma (2 GiB)
 
 _CHUNK = 1 << 21      # values per chunk: Hermite rows x points, or tensor slices
+_KEPT_BANDS = 1 << 18   # doubles in the largest band table kept (2 MiB; at most eight shapes)
 _PHASES = np.array([1.0, -1j, -1.0, 1j])     # (-i)^b by b mod 4
 
 
@@ -109,18 +111,33 @@ def _trimmed(state: TruncatedState) -> np.ndarray:
 
 
 def _line_masses(n_max: int):
-    """h_f(0) and I_f = int h_f = sqrt(2 pi) |h_f(0)| for f <= n_max."""
-    zeros = hermite_basis(n_max, 0.0)[:, 0]
+    """h_f(0) and I_f = int h_f = sqrt(2 pi) |h_f(0)| for f <= n_max, the first
+    by h_(f+1)(0) = -sqrt(f/(f+1)) h_(f-1)(0) as one product."""
+    odd = np.arange(1.0, n_max, 2)
+    zeros = np.zeros(n_max + 1)
+    zeros[::2] = np.cumprod(np.concatenate([[np.pi ** -0.25], -np.sqrt(odd / (odd + 1.0))]))
     return zeros, math.sqrt(2.0 * math.pi) * np.abs(zeros)
+
+
+@functools.lru_cache(maxsize=8)
+def _kept_bands(rows: int, cols: int) -> tuple[np.ndarray, ...]:
+    """The bands of _beam_splitter(rows, cols), built once per shape, read-only."""
+    bands = tuple(band for _, _, band in _beam_splitter(rows, cols))
+    for band in bands:
+        band.flags.writeable = False
+    return bands
 
 
 def _band_sum(mat: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """v[e] = sum_L sum_m mat[m, L-m] B^L[m, e] ends[L-e], one band at a time.
-    Antidiagonal L of mat is a diagonal of its column-reversed view."""
+    Antidiagonal L of mat is a diagonal of its column-reversed view.  A band
+    table of rows cols (rows + cols) / 2 doubles up to _KEPT_BANDS is kept for reuse."""
     rows, cols = mat.shape
     flipped = mat[:, ::-1]
     out = np.zeros(rows + cols - 1)
-    for L, _, band in _beam_splitter(rows, cols):
+    kept = rows * cols * (rows + cols) <= 2 * _KEPT_BANDS
+    bands = _kept_bands(rows, cols) if kept else (band for _, _, band in _beam_splitter(rows, cols))
+    for L, band in enumerate(bands):
         out[: L + 1] += (flipped.diagonal(cols - 1 - L) @ band) * ends[L::-1]
     return out
 

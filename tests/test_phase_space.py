@@ -234,6 +234,30 @@ def test_beam_splitter_bands_stay_orthogonal_to_dim_400():
     assert levels == 799            # L = 0..798
 
 
+def test_kept_bands_are_the_streamed_bands_and_read_only():
+    kept = phase_space._kept_bands(9, 6)
+    assert kept is phase_space._kept_bands(9, 6)
+    streamed = [band for _, _, band in _beam_splitter(9, 6)]
+    assert len(kept) == len(streamed) == 14
+    for band, want in zip(kept, streamed):
+        assert np.array_equal(band, want) and not band.flags.writeable
+
+
+def test_band_sum_kept_and_streamed_agree(monkeypatch):
+    rng = np.random.default_rng(12)
+    mat, ends = rng.standard_normal((7, 11)), rng.standard_normal(17)
+    kept = phase_space._band_sum(mat, ends)
+    monkeypatch.setattr(phase_space, "_KEPT_BANDS", 0)
+    assert np.array_equal(phase_space._band_sum(mat, ends), kept)
+
+
+def test_line_masses_are_hermite_functions_at_zero():
+    for n_max in (0, 1, 2, 7, 82, 2000):
+        zeros, masses = phase_space._line_masses(n_max)
+        assert np.array_equal(zeros, hermite_basis(n_max, 0.0)[:, 0])
+        assert np.array_equal(masses, math.sqrt(2.0 * math.pi) * np.abs(zeros))
+
+
 def test_gk_density_normalization():
     st = coherent_state(0.5 + 0.5j, 30)
     kernel = number_state(0, 30)
