@@ -7,13 +7,15 @@ transform of |m><n| is a 50:50 beam splitter B^L (L = m + n) on h_m x h_n
 followed by a Fourier factor (-i)^b on the second mode.  B^L is the SU(2)
 rotation of the L-photon two-mode block by pi/2 (Campos, Saleh & Teich,
 Phys. Rev. A 40 (1989) 1371), built by Risbo's two-sided recursion
-(J. Geodesy 70 (1996) 383), which keeps every band orthogonal.  The
+(J. Geodesy 70 (1996) 383), which keeps every band orthogonal.  One band
+table T[a, b] = sum_m M[m, a+b-m] B^(a+b)[m, a] of a real matrix M is the
+one contraction with the bands: of Re rho and Im rho it gives C; against
+h_f(0), a quadrature density as one vector over h_a(sqrt(2) x); against
+I_f, a rotated marginal as one over h_e(t), exact, with no node rule.  The
 covariant density tr[rho W(z) K W(z)*] = 2 pi int W_rho(x) W_K(x - z) d^2x
-correlates two such tensors axis by axis, through the same beam splitter,
+correlates two Wigner tensors axis by axis, through the same beam splitter,
 into sum_eg G[e, g] h_e(q) h_g(p); its axis table of about 8 D^3 doubles
 may not outgrow MAX_GK_TABLE (two full-support states fit up to D = 256).
-The same bands turn a quadrature density into one vector over h_a(sqrt(2) x)
-and a rotated marginal into one over h_e(t), all exact, with no node rule.
 
 The truncated Weyl operator itself comes from a normalized Laguerre
 recurrence that stays in double range on the documented domain
@@ -47,7 +49,6 @@ MAX_GK_TABLE = 1 << 28    # doubles in the covariant tensor's axis table gamma (
 
 _CHUNK = 1 << 21      # values per chunk: Hermite rows x points, or tensor slices
 _KEPT_BANDS = 1 << 18   # doubles in the largest band table kept (2 MiB; at most eight shapes)
-_PHASES = np.array([1.0, -1j, -1.0, 1j])     # (-i)^b by b mod 4
 
 
 def displacement_matrix(pt, dim: int) -> np.ndarray:
@@ -87,20 +88,21 @@ def _beam_splitter(rows: int, cols: int):
         B^L[m, a] = [sqrt(m) (sqrt(a) B^(L-1)[m-1, a-1] + sqrt(L-a) B^(L-1)[m-1, a])
                      + sqrt(L-m) (sqrt(a) B^(L-1)[m, a-1] - sqrt(L-a) B^(L-1)[m, a])] / (sqrt(2) L);
 
-    only the previous band is kept."""
+    only the previous band is kept, as sqrt(2) B^L on odd L, so that each
+    step divides by L or 2 L and never by a rounded sqrt(2)."""
     roots = np.sqrt(np.arange(rows + cols, dtype=float))
     band, lo = np.ones((1, 1)), 0
     yield 0, 0, band
     for L in range(1, rows + cols - 1):
         new_lo, hi = max(0, L - cols + 1), min(L, rows - 1)
-        scale = roots[: L + 1, None] / (math.sqrt(2.0) * L)
+        scale = roots[: L + 1, None] / (L if L % 2 else 2 * L)
         wide = np.zeros((hi - new_lo + 2, L + 2))           # rows m - 1 = new_lo - 1..hi, a - 1 = -1..L
         wide[lo - new_lo + 1 : lo - new_lo + 1 + len(band), 1:-1] = band
         top = wide[:-1] * scale[new_lo : hi + 1]
         bot = wide[1:] * scale[L - hi : L - new_lo + 1][::-1]
         band = roots[: L + 1] * (top + bot)[:, :-1] + roots[L::-1] * (top - bot)[:, 1:]
         lo = new_lo
-        yield L, lo, band
+        yield L, lo, (band * math.sqrt(0.5) if L % 2 else band)
 
 
 def _trimmed(state: TruncatedState) -> np.ndarray:
@@ -128,30 +130,27 @@ def _kept_bands(rows: int, cols: int) -> tuple[np.ndarray, ...]:
     return bands
 
 
-def _band_sum(mat: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """v[e] = sum_L sum_m mat[m, L-m] B^L[m, e] ends[L-e], one band at a time.
-    Antidiagonal L of mat is a diagonal of its column-reversed view.  A band
-    table of rows cols (rows + cols) / 2 doubles up to _KEPT_BANDS is kept for reuse."""
-    rows, cols = mat.shape
-    flipped = mat[:, ::-1]
-    out = np.zeros(rows + cols - 1)
+def _band_table(mats: np.ndarray) -> np.ndarray:
+    """T[k, a, b] = sum_m mats[k, m, a+b-m] B^(a+b)[m, a] for a stack of real matrices:
+    antidiagonal L, a diagonal of the column-reversed view, times B^L fills the
+    slice [L : L n + 1 : n - 1] of the flat n x n table.  Bands up to _KEPT_BANDS are kept."""
+    count, rows, cols = mats.shape
+    n, flipped = rows + cols - 1, mats[:, :, ::-1]
+    out = np.zeros((count, n * n))
     kept = rows * cols * (rows + cols) <= 2 * _KEPT_BANDS
     bands = _kept_bands(rows, cols) if kept else (band for _, _, band in _beam_splitter(rows, cols))
     for L, band in enumerate(bands):
-        out[: L + 1] += (flipped.diagonal(cols - 1 - L) @ band) * ends[L::-1]
-    return out
+        out[:, L : L * n + 1 : max(n - 1, 1)] = flipped.diagonal(cols - 1 - L, axis1=1, axis2=2) @ band
+    return out.reshape(count, n, n)
 
 
 def _wigner_tensor(state: TruncatedState) -> np.ndarray:
-    """C with W(q, p) = sum_ab C[a, b] h_a(sqrt(2) q) h_b(sqrt(2) p) for the
-    trimmed state: C[a, L-a] = Re((-i)^(L-a) sum_m rho[m, L-m] B^L[m, a]) / sqrt(pi)."""
-    flipped = _trimmed(state)[:, ::-1]
-    dim = len(flipped)
-    coeffs = np.zeros((2 * dim - 1, 2 * dim - 1))
-    for L, _, band in _beam_splitter(dim, dim):
-        a = np.arange(L + 1)
-        coeffs[a, L - a] = (_PHASES[(L - a) % 4] * (flipped.diagonal(dim - 1 - L) @ band)).real
-    return coeffs / math.sqrt(math.pi)
+    """C = Re((-i)^b T[a, b]) / sqrt(pi), +-Re T on even b and +-Im T on odd b, with T
+    the band table of the trimmed rho: W(q, p) = sum_ab C[a, b] h_a(sqrt(2) q) h_b(sqrt(2) p)."""
+    rho = _trimmed(state)
+    re, im = _band_table(np.stack([rho.real, rho.imag]))
+    b = np.arange(len(re))
+    return np.where(b % 2, im, re) * np.where(b % 4 < 2, 1.0, -1.0) / math.sqrt(math.pi)
 
 
 def _gk_tensor(state: TruncatedState, kernel: TruncatedState) -> np.ndarray:
@@ -217,9 +216,9 @@ def _marginal_coeffs(state: TruncatedState, kernel: TruncatedState, theta: float
     int h_a(sqrt(2) x) h_c(sqrt(2) (t - x)) dx = (1/2) sum_e B^(a+c)[a, e] I_(a+c-e) h_e(t)."""
     rho, kap = _trimmed(state), _trimmed(kernel)
     zeros, masses = _line_masses(2 * (len(rho) + len(kap)) - 4)
-    p = _band_sum(_rotated(rho, -theta).real, zeros)
-    k = _band_sum(_rotated(kap, math.pi - theta).real, zeros)
-    return 0.5 * _band_sum(np.outer(p, k), masses)
+    p = _band_table(_rotated(rho, -theta).real[None])[0] @ zeros[: 2 * len(rho) - 1]
+    k = _band_table(_rotated(kap, math.pi - theta).real[None])[0] @ zeros[: 2 * len(kap) - 1]
+    return 0.5 * _band_table(np.outer(p, k)[None])[0] @ masses
 
 
 def rotated_marginal_density(state: TruncatedState, kernel: TruncatedState, theta: float, t):

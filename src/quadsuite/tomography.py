@@ -12,6 +12,7 @@ and cross-checked; the derivative form is the fast production path.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -129,6 +130,11 @@ def _kernel_series_form(n: int, t: np.ndarray) -> np.ndarray:
     )
 
 
+def _require_kernel_index(n) -> None:
+    if not isinstance(n, numbers.Integral) or not 0 <= n <= MAX_KERNEL_INDEX:
+        raise DomainError(f"kernel index {n!r} is not an integer in [0, {MAX_KERNEL_INDEX}]")
+
+
 def markov_kernel_number(n: int, pt, theta: float, x, form: str = "derivative"):
     """Generalized Markov kernel of the number-state smearing |h_n><h_n|.
 
@@ -138,11 +144,11 @@ def markov_kernel_number(n: int, pt, theta: float, x, form: str = "derivative"):
     terms of size e^(t^2/2), so it raises ConvergenceError wherever
     rounding could cost more than 1e-9: from |t| = 6.4 at n = 0 down to
     |t| = 5.4 at n = 6.  The derivative form holds for every finite t.
-    At n = 0, t = 0 the value is exactly 2.  NaN or infinite theta, point
-    or x raise DomainError.
+    At n = 0, t = 0 the value is exactly 2.  A kernel index that is not an
+    integer in [0, MAX_KERNEL_INDEX], or NaN or infinite theta, point or x,
+    raise DomainError.
     """
-    if not 0 <= n <= MAX_KERNEL_INDEX:
-        raise DomainError(f"kernel index {n} outside [0, {MAX_KERNEL_INDEX}]")
+    _require_kernel_index(n)
     q, p = _require_finite("point", np.asarray(pt, dtype=float))
     _require_finite("theta", theta)
     xa = _require_finite("x", np.atleast_1d(np.asarray(x, dtype=float)))
@@ -269,18 +275,19 @@ def save_dataset(data: QuadratureDataset, path) -> None:
 
 
 def load_dataset(path) -> QuadratureDataset:
-    """Read a dataset written by :func:`save_dataset`."""
-    with open(path) as fh:
-        header = fh.readline()
-        if not header.startswith("#"):
-            raise DomainError("missing dataset header line")
-        try:
+    """Read a dataset written by :func:`save_dataset`.  A file that does not
+    parse as one (header, numbers, row lengths, UTF-8) raises DomainError."""
+    try:
+        with open(path) as fh:
+            header = fh.readline()
+            if not header.startswith("#"):
+                raise DomainError("missing header line")
             j_tok, lo, hi, step = header[1:].split()
-            angles = int(j_tok)
-        except ValueError as exc:
-            raise DomainError(f"malformed dataset header: {header!r}") from exc
-        values = np.loadtxt(fh, ndmin=2)
-    return QuadratureDataset(angles, (float(lo), float(hi), float(step)), values)
+            angles, x_axis = int(j_tok), (float(lo), float(hi), float(step))
+            values = np.loadtxt(fh, ndmin=2)
+    except ValueError as exc:                 # DomainError and UnicodeDecodeError are ValueErrors
+        raise DomainError(f"malformed dataset file {path}: {exc}") from exc
+    return QuadratureDataset(angles, x_axis, values)
 
 
 def reconstruct_state(data: QuadratureDataset, dim: int) -> TruncatedState:
@@ -341,11 +348,11 @@ def gk_from_quadrature_data(data: QuadratureDataset, n: int, pt) -> float:
 
     Averages the Markov kernel against the tabulated densities: the
     rectangle rule over the J angles (spectrally accurate for periodic
-    integrands) and the trapezoid rule over x.  A kernel index outside
-    [0, MAX_KERNEL_INDEX] or a NaN or infinite point raises DomainError.
+    integrands) and the trapezoid rule over x.  A kernel index that is not
+    an integer in [0, MAX_KERNEL_INDEX] or a NaN or infinite point raises
+    DomainError.
     """
-    if not 0 <= n <= MAX_KERNEL_INDEX:
-        raise DomainError(f"kernel index {n} outside [0, {MAX_KERNEL_INDEX}]")
+    _require_kernel_index(n)
     if data.angles < MIN_DATASET_ANGLES:
         raise DomainError(f"need at least {MIN_DATASET_ANGLES} angles")
     if data.x_axis[2] > MAX_DATASET_STEP + 1e-15:

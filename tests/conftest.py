@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from quadsuite import pure_state, state_from_matrix
+from quadsuite import generate_dataset, number_state, pure_state, save_dataset, state_from_matrix
 
 
 @pytest.fixture
@@ -51,3 +51,20 @@ def panel_rule():
         return np.concatenate(xs), np.concatenate(ws)
 
     return rule
+
+
+@pytest.fixture(params=["header number", "non-numeric cell", "ragged rows", "non-utf8"])
+def malformed_dataset(request, tmp_path):
+    """Path of a saved dataset file broken in one of four ways."""
+    path = tmp_path / "set.txt"
+    save_dataset(generate_dataset(number_state(1, 4), 8), path)
+    lines = path.read_text().splitlines()
+    if request.param == "header number":
+        lines[0] = "# 16 a b c"
+    elif request.param == "non-numeric cell":
+        lines[2] = "x" + lines[2][lines[2].index(" "):]
+    elif request.param == "ragged rows":
+        lines[3] = lines[3].rsplit(" ", 1)[0]
+    text = ("\n".join(lines) + "\n").encode()
+    path.write_bytes(text + b"\xff\xfe\n" if request.param == "non-utf8" else text)
+    return path

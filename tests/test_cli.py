@@ -253,6 +253,14 @@ def test_exit_code_dataset_with_nan(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_exit_code_malformed_dataset(capsys, malformed_dataset):
+    code, out, err = run_cli(capsys, "tomo-reconstruct", "--input", str(malformed_dataset), "--dim", "4")
+    assert code == 2
+    assert out == ""
+    assert malformed_dataset.name in err
+    assert "Traceback" not in err
+
+
 def test_exit_code_numerical_contract(capsys):
     code, _, err = run_cli(
         capsys, "radon", "--state", "coherent:2.5,0", "--dim", "32",

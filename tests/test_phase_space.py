@@ -229,7 +229,7 @@ def test_beam_splitter_rotates_hermite_products():
 def test_beam_splitter_bands_stay_orthogonal_to_dim_400():
     levels = 0
     for L, lo, band in _beam_splitter(400, 400):
-        assert np.max(np.abs(band @ band.T - np.eye(len(band)))) <= 1e-12
+        assert np.max(np.abs(band @ band.T - np.eye(len(band)))) <= 1e-14
         levels += 1
     assert levels == 799            # L = 0..798
 
@@ -243,12 +243,11 @@ def test_kept_bands_are_the_streamed_bands_and_read_only():
         assert np.array_equal(band, want) and not band.flags.writeable
 
 
-def test_band_sum_kept_and_streamed_agree(monkeypatch):
-    rng = np.random.default_rng(12)
-    mat, ends = rng.standard_normal((7, 11)), rng.standard_normal(17)
-    kept = phase_space._band_sum(mat, ends)
+def test_band_table_kept_and_streamed_agree(monkeypatch):
+    mats = np.random.default_rng(12).standard_normal((2, 7, 11))
+    kept = phase_space._band_table(mats)
     monkeypatch.setattr(phase_space, "_KEPT_BANDS", 0)
-    assert np.array_equal(phase_space._band_sum(mat, ends), kept)
+    assert np.array_equal(phase_space._band_table(mats), kept)
 
 
 def test_line_masses_are_hermite_functions_at_zero():
@@ -420,6 +419,12 @@ def test_strip_of_full_support_dim120_state_against_panel_oracle(rng, random_pur
     ts, wt = panel_rule(window)
     want = sum(w * np.dot(ws, dens * quadrature_density(kprime, 0.0, t - xs)) for t, w in zip(ts, wt))
     assert abs(strip_probability(st, kernel, theta, IntervalSet(window)) - want) <= 1e-12
+
+
+def test_full_line_strip_of_full_support_dim200_state_is_one(rng, random_pure):
+    # the bands keep unit norm: dividing by a rounded sqrt(2) at every band would drift 2e-14 here
+    st = random_pure(rng, 200, 200)
+    assert abs(strip_probability(st, number_state(1, 200), 0.8, IntervalSet.full_line()) - 1.0) <= 1e-15
 
 
 def test_strip_probability_halves_and_whole(rng, random_pure):

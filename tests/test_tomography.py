@@ -206,6 +206,11 @@ def test_load_dataset_refuses_nan_sample(tmp_path):
         load_dataset(path)
 
 
+def test_malformed_dataset_file_raises_domain_error(malformed_dataset):
+    with pytest.raises(DomainError, match=malformed_dataset.name):
+        load_dataset(malformed_dataset)
+
+
 def test_dataset_header_check(tmp_path):
     path = tmp_path / "junk.txt"
     path.write_text("1.0 2.0\n")
@@ -302,6 +307,21 @@ def test_gk_from_data_rejects_kernel_index_out_of_range(n):
     data = generate_dataset(vacuum_state(40), 32, (-8.0, 8.0, 0.02))
     with pytest.raises(DomainError, match="kernel index"):
         gk_from_quadrature_data(data, n, (0.0, 0.0))
+
+
+@pytest.mark.parametrize("n", [1.5, 2.0, "1", None])
+def test_non_integer_kernel_index_raises_domain_error(n):
+    with pytest.raises(DomainError, match="kernel index"):
+        markov_kernel_number(n, (0.0, 0.0), 0.0, np.array([0.1, 0.2]))
+    data = generate_dataset(vacuum_state(4), 32, (-8.0, 8.0, 0.02))
+    with pytest.raises(DomainError, match="kernel index"):
+        gk_from_quadrature_data(data, n, (0.0, 0.0))
+
+
+def test_kernel_index_accepts_numpy_integers():
+    x = np.array([0.1, 0.2])
+    assert np.array_equal(markov_kernel_number(np.int64(2), (0.3, 0.1), 0.4, x),
+                          markov_kernel_number(2, (0.3, 0.1), 0.4, x))
 
 
 def test_gk_from_data_guards():
