@@ -9,7 +9,7 @@ exact instead of accumulating floating-point drift.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,6 +28,24 @@ def _require_finite(label: str, values):
     if not (math.isfinite(values) if scalar else np.isfinite(values).all()):
         raise DomainError(f"{label} must be finite, got {values}")
     return values
+
+
+def _pointwise(label: str, evaluate, *coords, block: int = 0):
+    """The point rule of every pointwise function: broadcast the coordinates,
+    DomainError on a NaN or infinite entry, evaluate(*flat) on ``block``
+    points at a time (0: all at once; an empty input is never evaluated),
+    and a float for scalar or 0-d input, else an array of the broadcast shape."""
+    arrays = [np.asarray(c, dtype=float) for c in coords]
+    arrays = np.broadcast_arrays(*arrays) if len(arrays) > 1 else arrays
+    shape, flat = arrays[0].shape, [_require_finite(label, a.ravel()) for a in arrays]
+    size = flat[0].size
+    if 0 < size <= (block or size):
+        out = evaluate(*flat)
+    else:
+        out = np.empty(size)
+        for start in range(0, size, block or 1):
+            out[start : start + block] = evaluate(*(f[start : start + block] for f in flat))
+    return float(out[0]) if not shape else out.reshape(shape)
 
 
 def uniform_axis(lo: float, hi: float, step: float) -> np.ndarray:
@@ -86,7 +104,6 @@ class GridFunction:
 
     axes: tuple[tuple[float, float, float], ...]
     values: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domains import IntervalSet, _require_finite
+from .domains import IntervalSet, _pointwise, _require_finite
 from .errors import DomainError, StateValidationError
 
 __all__ = [
@@ -68,12 +68,14 @@ def hermite_basis(n_max: int, x) -> np.ndarray:
     which is stable for every k; far outside the support the values
     underflow gracefully to zero.  Points beyond |x| = 37, where the seed
     h_0 nears the bottom of double range, are redone by :func:`_far_basis`;
-    beyond |x| = 126.5 every value is exactly zero.  NaN or infinite points
-    raise DomainError.
+    beyond |x| = 126.5 every value is exactly zero.  NaN or infinite
+    points, or a 2-D x, raise DomainError.
     """
     if not 0 <= n_max <= MAX_FUNCTION_DEGREE:
         raise DomainError(f"degree {n_max} outside [0, {MAX_FUNCTION_DEGREE}]")
     xa = _require_finite("x", np.atleast_1d(np.asarray(x, dtype=float)))
+    if xa.ndim > 1:
+        raise DomainError(f"hermite_basis takes a 1-D array of points, got shape {xa.shape}")
     near = np.abs(xa) < _ZERO_BEYOND
     if not near.all():
         out = np.zeros((n_max + 1, xa.size))
@@ -115,9 +117,10 @@ def _far_basis(n_max: int, x: np.ndarray) -> np.ndarray:
 
 
 def hermite_function(n: int, x):
-    """Normalized Hermite function h_n(x); scalar in, scalar out."""
-    vals = hermite_basis(n, x)[n]
-    return vals if isinstance(x, np.ndarray) else float(vals[0])
+    """Normalized h_n(x) at a point or an array of points; n is checked even for no points."""
+    if not 0 <= n <= MAX_FUNCTION_DEGREE:
+        raise DomainError(f"degree {n} outside [0, {MAX_FUNCTION_DEGREE}]")
+    return _pointwise("x", lambda xs: hermite_basis(n, xs)[n], x)
 
 
 def _ends(X: IntervalSet) -> tuple[np.ndarray, np.ndarray]:

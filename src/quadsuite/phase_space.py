@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .domains import IntervalSet, _require_finite
+from .domains import IntervalSet, _pointwise
 from .errors import DomainError
 from .fock import TruncatedState, _line_integrals, _rotated, hermite_basis
 # quadrature_density stays importable from here: the benchmark's tracer test reads it
@@ -184,19 +184,12 @@ def _gk_tensor(state: TruncatedState, kernel: TruncatedState) -> np.ndarray:
 
 
 def _tensor_values(coeffs: np.ndarray, scale: float, pt):
-    """sum_ab coeffs[a, b] h_a(scale q) h_b(scale p) at the broadcast (q, p)
-    points, block by block; a float for a single point."""
-    qa, pa = np.broadcast_arrays(*(_require_finite("phase points", np.asarray(c, float)) for c in pt))
-    qs, ps = scale * qa.ravel(), scale * pa.ravel()
+    """sum_ab coeffs[a, b] h_a(scale q) h_b(scale p) at the broadcast (q, p) points."""
     top = len(coeffs) - 1
-    out = np.empty(qs.size)
-    block = max(1, _CHUNK // len(coeffs))
-    for start in range(0, qs.size, block):
-        part = slice(start, start + block)
-        hq, hp = hermite_basis(top, qs[part]), hermite_basis(top, ps[part])
-        out[part] = np.einsum("ai,ai->i", hq, coeffs @ hp)
-    out = out.reshape(qa.shape)
-    return float(out) if out.ndim == 0 else out
+
+    def values(qs, ps):
+        return np.einsum("ai,ai->i", hermite_basis(top, scale * qs), coeffs @ hermite_basis(top, scale * ps))
+    return _pointwise("phase points", values, *pt, block=max(1, _CHUNK // len(coeffs)))
 
 
 def gk_density(state: TruncatedState, kernel: TruncatedState, pt):
@@ -229,12 +222,9 @@ def rotated_marginal_density(state: TruncatedState, kernel: TruncatedState, thet
     the kernel rotated by pi - theta (its quadrature density at theta - pi):
     an unsharp quadrature measurement, exactly sum_e m_e h_e(t).
     """
-    ta = _require_finite("t", np.asarray(t, dtype=float))
     coeffs = _marginal_coeffs(state, kernel, theta)
-    out, rows = np.empty(ta.shape), max(1, _CHUNK // len(coeffs))
-    for start in range(0, ta.size, rows):
-        out.flat[start : start + rows] = coeffs @ hermite_basis(len(coeffs) - 1, ta.flat[start : start + rows])
-    return float(out) if out.ndim == 0 else out
+    return _pointwise("t", lambda ts: coeffs @ hermite_basis(len(coeffs) - 1, ts), t,
+                      block=max(1, _CHUNK // len(coeffs)))
 
 
 def cartesian_marginal_density(state, kernel, axis: str, t):

@@ -18,7 +18,7 @@ import math
 import numpy as np
 from scipy.linalg import expm
 
-from .domains import IntervalSet, _require_finite
+from .domains import IntervalSet, _pointwise, _require_finite
 from .errors import DomainError
 from .fock import TruncatedState, _rotated, hermite_basis, overlap_matrix
 
@@ -61,10 +61,12 @@ def quadrature_density(state: TruncatedState, theta: float, x):
     nonnegative up to rounding for a valid state.  The basis is real, so
     only the real part of the rotated matrix counts.
     """
-    xa = _require_finite("x", np.atleast_1d(np.asarray(x, dtype=float)))
-    basis = hermite_basis(state.dim - 1, xa)
-    vals = np.einsum("ni,ni->i", _rotated(state.matrix, -theta).real @ basis, basis)
-    return vals if isinstance(x, np.ndarray) else float(vals[0])
+    rho = _rotated(state.matrix, -theta).real
+
+    def density(xs):
+        basis = hermite_basis(state.dim - 1, xs)
+        return np.einsum("ni,ni->i", rho @ basis, basis)
+    return _pointwise("x", density, x)
 
 
 def quadrature_probability(state: TruncatedState, theta: float, X: IntervalSet) -> float:

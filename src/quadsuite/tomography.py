@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import binom, dawsn
 
-from .domains import IntervalSet, _require_finite, uniform_axis
+from .domains import IntervalSet, _pointwise, _require_finite, uniform_axis
 from .errors import ConditioningError, ConvergenceError, DomainError
 from .fock import TruncatedState, hermite_basis, overlap_matrix
 
@@ -53,21 +53,21 @@ def dawson(t):
     """Dawson integral F(t) = exp(-t^2) int_0^t exp(y^2) dy.
 
     Delegates to the library implementation (relative error well below
-    1e-12 everywhere); F(1) = 0.5380795069127684.
+    1e-12 everywhere); F(1) = 0.5380795069127684.  NaN or infinite t
+    raises DomainError.
     """
-    vals = dawsn(np.asarray(t, dtype=float))
-    return vals if isinstance(t, np.ndarray) else float(vals)
+    return _pointwise("t", dawsn, t)
 
 
 def dawson_derivatives(t, order: int) -> np.ndarray:
-    """Derivatives F^(0..order) of the Dawson function at t.
+    """Derivatives F^(0..order) of the Dawson function at t; DomainError unless t is finite.
 
     Uses F' = 1 - 2 t F and the recurrence
     F^(k+1) = -2 t F^(k) - 2 k F^(k-1); returns shape (order+1,) + t.shape.
     """
     if order < 0:
         raise DomainError("derivative order must be nonnegative")
-    ta = np.asarray(t, dtype=float)
+    ta = _require_finite("t", np.asarray(t, dtype=float))
     out = np.empty((order + 1,) + ta.shape)
     out[0] = dawsn(ta)
     if order >= 1:
@@ -97,8 +97,6 @@ def _kernel_series_form(n: int, t: np.ndarray) -> np.ndarray:
     once eps * sum_k |term_k| exceeds SERIES_CANCELLATION_LIMIT at any
     point the sum has lost its digits and ConvergenceError is raised.
     """
-    if t.size == 0:
-        return np.zeros_like(t)
     with np.errstate(over="ignore"):
         weight = np.exp(0.5 * t * t)          # inf past |t| ~ 37.6
     k = np.arange(SERIES_MAX_TERMS + 1)
@@ -150,16 +148,11 @@ def markov_kernel_number(n: int, pt, theta: float, x, form: str = "derivative"):
     """
     _require_kernel_index(n)
     q, p = _require_finite("point", np.asarray(pt, dtype=float))
-    _require_finite("theta", theta)
-    xa = _require_finite("x", np.atleast_1d(np.asarray(x, dtype=float)))
-    t = xa - (q * math.cos(theta) + p * math.sin(theta))
-    if form == "derivative":
-        vals = _kernel_derivative_form(n, t)
-    elif form == "series":
-        vals = _kernel_series_form(n, t)
-    else:
+    shift = q * math.cos(_require_finite("theta", theta)) + p * math.sin(theta)
+    forms = {"derivative": _kernel_derivative_form, "series": _kernel_series_form}
+    if form not in forms:
         raise DomainError(f"unknown kernel form {form!r}")
-    return vals if isinstance(x, np.ndarray) else float(vals[0])
+    return _pointwise("x", lambda xs: forms[form](n, xs - shift), x)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +191,6 @@ class QuadratureDataset:
     angles: int
     x_axis: tuple[float, float, float]
     values: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)

@@ -23,7 +23,7 @@ import math
 import numpy as np
 from scipy import ndimage
 
-from .domains import GridFunction, _require_finite, uniform_axis
+from .domains import GridFunction, _pointwise, _require_finite, uniform_axis
 from .fock import TruncatedState, hermite_basis
 from .phase_space import _gk_tensor, _tensor_values, _wigner_tensor, rotated_marginal_density
 from .quadrature import quadrature_density
@@ -50,24 +50,23 @@ def wigner(state: TruncatedState, pt):
     return _tensor_values(_wigner_tensor(state), math.sqrt(2.0), pt)
 
 
-def _tensor_grid(coeffs: np.ndarray, scale: float, extent: float, step: float,
-                 kind: str) -> GridFunction:
+def _tensor_grid(coeffs: np.ndarray, scale: float, extent: float, step: float) -> GridFunction:
     """sum_ab coeffs[a, b] h_a(scale q) h_b(scale p) on the square |q|, |p| <= extent."""
     ax = (-extent, extent, step)
     basis = hermite_basis(len(coeffs) - 1, scale * uniform_axis(*ax))
-    return GridFunction((ax, ax), basis.T @ coeffs @ basis, meta={"kind": kind})
+    return GridFunction((ax, ax), basis.T @ coeffs @ basis)
 
 
 def wigner_grid(state: TruncatedState, extent: float = DEFAULT_EXTENT,
                 step: float = DEFAULT_STEP) -> GridFunction:
     """Wigner function tabulated on the square |q|, |p| <= extent."""
-    return _tensor_grid(_wigner_tensor(state), math.sqrt(2.0), extent, step, "wigner")
+    return _tensor_grid(_wigner_tensor(state), math.sqrt(2.0), extent, step)
 
 
 def gk_grid(state: TruncatedState, kernel: TruncatedState,
             extent: float = DEFAULT_EXTENT, step: float = DEFAULT_STEP) -> GridFunction:
     """Covariant-observable density tabulated on the square grid."""
-    return _tensor_grid(_gk_tensor(state, kernel), 1.0, extent, step, "gk")
+    return _tensor_grid(_gk_tensor(state, kernel), 1.0, extent, step)
 
 
 def radon(grid: GridFunction, theta: float, t):
@@ -88,18 +87,15 @@ def radon(grid: GridFunction, theta: float, t):
     h = min(hq, hp)
     half = 0.5 * max(q1 - q0, p1 - p0)
     s = np.arange(-half, half + 0.5 * h, h)
-    ta = _require_finite("t", np.atleast_1d(np.asarray(t, dtype=float)))
     c, sn = math.cos(theta), math.sin(theta)
-    qs = ta[:, None] * c - s[None, :] * sn
-    ps = ta[:, None] * sn + s[None, :] * c
-    coords = np.stack([(qs.ravel() - q0) / hq, (ps.ravel() - p0) / hp])
-    line = ndimage.map_coordinates(
-        grid.values, coords, order=3, mode="grid-constant", cval=0.0
-    ).reshape(qs.shape)
-    vals = np.trapezoid(line, dx=h, axis=1)
-    if np.isscalar(t) or np.asarray(t).ndim == 0:
-        return float(vals[0])
-    return vals
+
+    def slices(ts):
+        qs = ts[:, None] * c - s[None, :] * sn
+        ps = ts[:, None] * sn + s[None, :] * c
+        coords = np.stack([(qs.ravel() - q0) / hq, (ps.ravel() - p0) / hp])
+        line = ndimage.map_coordinates(grid.values, coords, order=3, mode="grid-constant", cval=0.0)
+        return np.trapezoid(line.reshape(qs.shape), dx=h, axis=1)
+    return _pointwise("t", slices, t)
 
 
 def _radon_gap(grid: GridFunction, theta: float, density) -> float:

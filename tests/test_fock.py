@@ -239,7 +239,8 @@ def test_make_state_rejects_bad_spec(spec):
 
 
 def test_make_state_file_spec(tmp_path):
-    st = squeezed_state(0.2, 0.4, 6)
+    with pytest.warns(UserWarning, match="truncation"):
+        st = squeezed_state(0.2, 0.4, 6)
     path = tmp_path / "a:b.json"       # everything after file: is the path
     save_state(st, path)
     np.testing.assert_array_equal(make_state(f"file:{path}", 99).matrix, st.matrix)
