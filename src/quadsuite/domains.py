@@ -9,6 +9,7 @@ exact instead of accumulating floating-point drift.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,25 @@ def _require_finite(label: str, values):
     if not (math.isfinite(values) if scalar else np.isfinite(values).all()):
         raise DomainError(f"{label} must be finite, got {values}")
     return values
+
+
+def _count(label: str, n, hi: int) -> int:
+    """n as an int; DomainError unless it is an integer in [0, hi].  Numpy
+    integers pass; a bool does not."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or not 0 <= n <= hi:
+        raise DomainError(f"{label} {n!r} is not an integer in [0, {hi}]")
+    return int(n)
+
+
+def _phase_point(pt):
+    """(q, p) from a phase point: DomainError unless pt holds exactly two
+    coordinates.  Each may be a number or an array; finiteness is left to
+    _pointwise."""
+    try:
+        q, p = pt
+    except (TypeError, ValueError):
+        raise DomainError(f"a phase point has two coordinates (q, p), got {pt!r}") from None
+    return q, p
 
 
 def _pointwise(label: str, evaluate, *coords, block: int = 0):

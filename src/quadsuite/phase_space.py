@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .domains import IntervalSet, _pointwise
+from .domains import IntervalSet, _phase_point, _pointwise
 from .errors import DomainError
 from .fock import TruncatedState, _line_integrals, _rotated, hermite_basis
 # quadrature_density stays importable from here: the benchmark's tracer test reads it
@@ -56,7 +56,7 @@ def displacement_matrix(pt, dim: int) -> np.ndarray:
     <h_(n+d)|W|h_n> = a^d e^(-x/2) / sqrt(d!) g_n, where g_n = sqrt(n! d!/(n+d)!)
     L_n^(d)(x) runs g_{n+1} = [(2n+1+d-x) g_n - sqrt(n(n+d)) g_{n-1}] / sqrt((n+1)(n+1+d))
     over n with every diagonal d at once; W^* = W(-q,-p) gives the upper triangle."""
-    q, p = pt
+    q, p = _phase_point(pt)
     if dim < 1 or dim > MAX_DISPLACEMENT_DIM:
         raise DomainError(f"dim {dim} outside [1, {MAX_DISPLACEMENT_DIM}]")
     if not q * q + p * p <= MAX_RADIUS_SQ:
@@ -199,7 +199,7 @@ def gk_density(state: TruncatedState, kernel: TruncatedState, pt):
     Normalized so the integral against dq dp / (2 pi) is one.  Accepts a
     single point or broadcastable coordinate arrays.
     """
-    return _tensor_values(_gk_tensor(state, kernel), 1.0, pt)
+    return _tensor_values(_gk_tensor(state, kernel), 1.0, _phase_point(pt))
 
 
 def _marginal_coeffs(state: TruncatedState, kernel: TruncatedState, theta: float) -> np.ndarray:

@@ -12,13 +12,12 @@ and cross-checked; the derivative form is the fast production path.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import binom, dawsn
 
-from .domains import IntervalSet, _pointwise, _require_finite, uniform_axis
+from .domains import IntervalSet, _count, _phase_point, _pointwise, _require_finite, uniform_axis
 from .errors import ConditioningError, ConvergenceError, DomainError
 from .fock import TruncatedState, hermite_basis, overlap_matrix
 
@@ -128,11 +127,6 @@ def _kernel_series_form(n: int, t: np.ndarray) -> np.ndarray:
     )
 
 
-def _require_kernel_index(n) -> None:
-    if not isinstance(n, numbers.Integral) or not 0 <= n <= MAX_KERNEL_INDEX:
-        raise DomainError(f"kernel index {n!r} is not an integer in [0, {MAX_KERNEL_INDEX}]")
-
-
 def markov_kernel_number(n: int, pt, theta: float, x, form: str = "derivative"):
     """Generalized Markov kernel of the number-state smearing |h_n><h_n|.
 
@@ -146,8 +140,8 @@ def markov_kernel_number(n: int, pt, theta: float, x, form: str = "derivative"):
     integer in [0, MAX_KERNEL_INDEX], or NaN or infinite theta, point or x,
     raise DomainError.
     """
-    _require_kernel_index(n)
-    q, p = _require_finite("point", np.asarray(pt, dtype=float))
+    n = _count("kernel index", n, MAX_KERNEL_INDEX)
+    q, p = _require_finite("point", np.asarray(_phase_point(pt), dtype=float))
     shift = q * math.cos(_require_finite("theta", theta)) + p * math.sin(theta)
     forms = {"derivative": _kernel_derivative_form, "series": _kernel_series_form}
     if form not in forms:
@@ -344,12 +338,12 @@ def gk_from_quadrature_data(data: QuadratureDataset, n: int, pt) -> float:
     an integer in [0, MAX_KERNEL_INDEX] or a NaN or infinite point raises
     DomainError.
     """
-    _require_kernel_index(n)
+    n = _count("kernel index", n, MAX_KERNEL_INDEX)
     if data.angles < MIN_DATASET_ANGLES:
         raise DomainError(f"need at least {MIN_DATASET_ANGLES} angles")
     if data.x_axis[2] > MAX_DATASET_STEP + 1e-15:
         raise DomainError(f"x step must be at most {MAX_DATASET_STEP}")
-    q, p = _require_finite("point", np.asarray(pt, dtype=float))
+    q, p = _require_finite("point", np.asarray(_phase_point(pt), dtype=float))
     xs = data.xs
     shifts = q * np.cos(data.thetas) + p * np.sin(data.thetas)
     rows = max(1, _KERNEL_CHUNK // xs.size)

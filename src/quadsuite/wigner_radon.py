@@ -9,11 +9,19 @@ triple product tr[rho W Pi W*] at a fixed truncation instead leaves an
 alternating-series artifact of order 1e-5 at radius 8 for a dim-12 state,
 which would poison every identity this module is meant to check.
 
-The Radon transform integrates a sampled plane function along the rotated
-line x = const; line values are read off the grid with cubic-spline
-interpolation.  Linear interpolation carries an O(step^2) integrated bias
-(about 4e-5 at step 0.02) that the identity checks cannot absorb, while
-the cubic spline's bias is below 1e-8 on the same grid.
+The Radon transform integrates a sampled plane function along the line
+q cos theta + p sin theta = t, row by row (Joseph, IEEE Trans. Med.
+Imaging 1 (1982) 192).  Of the two grid axes, u is the one whose
+coefficient, cos theta for q or sin theta for p, is the larger in modulus,
+and v is the other.  Each grid row at fixed v then meets the line at
+exactly one u, where a 1D cubic B-spline along u reads the row from four
+coefficients.  The coefficients come from one tridiagonal solve per call
+along u, and the rows sum with weight h_v over that larger modulus.
+Every row is walked, so any uniform grid is covered: off-centre,
+rectangular, or with different steps on its two axes.  Linear
+interpolation carries an O(step^2) integrated bias (about 4e-5 at step
+0.02) that the identity checks cannot absorb, while the cubic spline's
+bias is below 1e-7 on the same grid.
 """
 
 from __future__ import annotations
@@ -21,9 +29,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import ndimage
+from scipy.linalg import solve_banded
 
-from .domains import GridFunction, _pointwise, _require_finite, uniform_axis
+from .domains import GridFunction, _phase_point, _pointwise, _require_finite, uniform_axis
 from .fock import TruncatedState, hermite_basis
 from .phase_space import _gk_tensor, _tensor_values, _wigner_tensor, rotated_marginal_density
 from .quadrature import quadrature_density
@@ -47,7 +55,7 @@ def wigner(state: TruncatedState, pt):
 
     Bounded by 1/pi in modulus and integrates to one over the plane.
     """
-    return _tensor_values(_wigner_tensor(state), math.sqrt(2.0), pt)
+    return _tensor_values(_wigner_tensor(state), math.sqrt(2.0), _phase_point(pt))
 
 
 def _tensor_grid(coeffs: np.ndarray, scale: float, extent: float, step: float) -> GridFunction:
@@ -70,32 +78,54 @@ def gk_grid(state: TruncatedState, kernel: TruncatedState,
 
 
 def radon(grid: GridFunction, theta: float, t):
-    """Line integral of a sampled plane function along the rotated line.
+    """Line integral of a sampled plane function over the line
+    q cos theta + p sin theta = t, one grid row at a time.
 
-    The line through the frame point (t, s) runs over
-    (t cos theta - s sin theta, t sin theta + s cos theta) for
-    s in [-L, L] with L the grid half-extent; samples are cubic-spline
-    interpolated and summed by the composite trapezoid rule at the grid
-    step.  Points beyond the grid count as zero, which the boundary-decay
-    check at BOUNDARY_TOL justifies.  Angles are reduced modulo 2 pi
-    first, so the transform is exactly periodic.  A NaN or infinite angle
-    or line offset raises DomainError.
+    Of (cos theta, sin theta), a is the entry of larger modulus and b the
+    other; u is the axis that a multiplies (q for cos theta, p for
+    sin theta) and v the other axis.  The grid row at v meets the line at
+    u = (t - v b) / a.  That point is read with a cubic B-spline
+    along u, whose coefficients solve tridiag(1, 4, 1) c = 6 f on each row,
+    and the rows sum with weight h_v / |a|.  Beyond the grid the
+    coefficients are zero, so samples there count as zero; the boundary
+    decay check at BOUNDARY_TOL bounds the spline's tail within two steps
+    of the edge.  Angles are reduced modulo 2 pi first, so the transform is
+    exactly periodic.  A NaN or infinite angle, line offset or grid sample
+    raises DomainError.
     """
     grid.require_decayed(BOUNDARY_TOL)
     theta = math.remainder(_require_finite("theta", theta), 2.0 * math.pi)
-    (q0, q1, hq), (p0, p1, hp) = grid.axes
-    h = min(hq, hp)
-    half = 0.5 * max(q1 - q0, p1 - p0)
-    s = np.arange(-half, half + 0.5 * h, h)
-    c, sn = math.cos(theta), math.sin(theta)
+    c, s = math.cos(theta), math.sin(theta)
+    (q0, _, hq), (p0, _, hp) = grid.axes
+    if abs(c) >= abs(s):
+        a, b, u0, hu, v0, hv, samples = c, s, q0, hq, p0, hp, grid.values
+    else:
+        a, b, u0, hu, v0, hv, samples = s, c, p0, hp, q0, hq, grid.values.T
+    nu, nv = samples.shape                                  # samples[u, v]
+    # column-major, so that the banded solve overwrites it in place
+    rhs = np.multiply(6.0, _require_finite("grid values", samples), order="F")
+    bands = np.repeat([[1.0], [4.0], [1.0]], nu, axis=1)
+    # row v of coeffs holds its nu coefficients between three zeros and four
+    coeffs = np.zeros((nv, nu + 7))
+    coeffs[:, 3:-4] = solve_banded((1, 1), bands, rhs, overwrite_b=True, check_finite=False).T
+    flat = coeffs.ravel()
+    starts = np.arange(nv) * (nu + 7)
+    # x = u index of the crossing + 2 is the position of the first of its four
+    # taps in a coefficient row; clipped to [0, nu + 3], a crossing two steps
+    # or more beyond the grid reads only zeros
+    shift = (v0 + hv * np.arange(nv)) * (b / (a * hu)) + u0 / hu - 2.0
 
     def slices(ts):
-        qs = ts[:, None] * c - s[None, :] * sn
-        ps = ts[:, None] * sn + s[None, :] * c
-        coords = np.stack([(qs.ravel() - q0) / hq, (ps.ravel() - p0) / hp])
-        line = ndimage.map_coordinates(grid.values, coords, order=3, mode="grid-constant", cval=0.0)
-        return np.trapezoid(line.reshape(qs.shape), dx=h, axis=1)
-    return _pointwise("t", slices, t)
+        x = np.clip(ts[:, None] / (a * hu) - shift, 0.0, nu + 3.0)
+        first = x.astype(np.intp)
+        f = x - first
+        g = 1.0 - f
+        f3 = f * f * f
+        w0, w1 = g * g * g, 4.0 - 6.0 * f * f + 3.0 * f3       # six times the B-spline weights
+        taps = first + starts
+        line = w0 * flat[taps] + w1 * flat[taps + 1] + (6.0 - w0 - w1 - f3) * flat[taps + 2] + f3 * flat[taps + 3]
+        return line.sum(axis=1) * (hv / (6.0 * abs(a)))
+    return _pointwise("t", slices, t, block=16)
 
 
 def _radon_gap(grid: GridFunction, theta: float, density) -> float:

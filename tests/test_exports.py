@@ -1,4 +1,8 @@
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import quadsuite
 
@@ -13,3 +17,16 @@ def test_export_table_matches_module_all():
     for module, names in quadsuite._EXPORTS.items():
         mod = importlib.import_module(f"quadsuite.{module}")
         assert names == getattr(mod, "__all__", names), module
+
+
+def test_radon_and_cli_leave_scipy_ndimage_unloaded():
+    # Radon slices take their spline from one tridiagonal solve, not from scipy.ndimage
+    src = str(Path(quadsuite.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys\n"
+            "import quadsuite, quadsuite.wigner_radon, quadsuite.cli\n"
+            "quadsuite.radon(quadsuite.wigner_grid(quadsuite.vacuum_state(2), 6.0, 0.5), 0.3, 0.0)\n"
+            "print('scipy.ndimage' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

@@ -18,6 +18,7 @@ from quadsuite import (
     coherent_state,
     dawson,
     dawson_derivatives,
+    displacement_matrix,
     gk_density,
     hermite_basis,
     hermite_function,
@@ -84,3 +85,31 @@ def test_hermite_basis_rejects_2d_points():
 def test_hermite_function_checks_its_degree_without_points(n):
     with pytest.raises(DomainError, match="degree"):
         hermite_function(n, [])
+
+
+BAD_PHASE_POINTS = {
+    "wigner_scalar": lambda: wigner(STATE, 1.0),
+    "wigner_three": lambda: wigner(STATE, (1, 2, 3)),
+    "gk_density_one": lambda: gk_density(STATE, STATE, (1.0,)),
+    "markov_kernel_three": lambda: markov_kernel_number(0, (1, 2, 3), 0, 0.5),
+    "displacement_scalar": lambda: displacement_matrix(1.0, 4),
+}
+
+
+@pytest.mark.parametrize("call", BAD_PHASE_POINTS.values(), ids=BAD_PHASE_POINTS.keys())
+def test_phase_point_needs_two_coordinates(call):
+    with pytest.raises(DomainError, match="two coordinates"):
+        call()
+
+
+@pytest.mark.parametrize("n", [1.5, 2.0, True, "2"])
+def test_hermite_degree_must_be_an_integer(n):
+    with pytest.raises(DomainError, match="degree"):
+        hermite_basis(n, [0.3])
+    with pytest.raises(DomainError, match="degree"):
+        hermite_function(n, 0.3)
+
+
+def test_hermite_degree_accepts_numpy_integers():
+    assert hermite_function(np.int64(3), 0.3) == hermite_function(3, 0.3)
+    np.testing.assert_array_equal(hermite_basis(np.int32(2), [0.3]), hermite_basis(2, [0.3]))

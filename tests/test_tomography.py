@@ -309,7 +309,7 @@ def test_gk_from_data_rejects_kernel_index_out_of_range(n):
         gk_from_quadrature_data(data, n, (0.0, 0.0))
 
 
-@pytest.mark.parametrize("n", [1.5, 2.0, "1", None])
+@pytest.mark.parametrize("n", [1.5, 2.0, "1", None, True])
 def test_non_integer_kernel_index_raises_domain_error(n):
     with pytest.raises(DomainError, match="kernel index"):
         markov_kernel_number(n, (0.0, 0.0), 0.0, np.array([0.1, 0.2]))

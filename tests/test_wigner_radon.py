@@ -7,6 +7,7 @@ from scipy.special import eval_laguerre
 from quadsuite import (
     CoverageError,
     DomainError,
+    GridFunction,
     coherent_state,
     gk_density,
     gk_grid,
@@ -126,6 +127,82 @@ def test_radon_matches_quadrature_density():
     np.testing.assert_allclose(
         radon(grid, theta, xs), quadrature_density(st, theta, xs), atol=5e-7
     )
+
+
+def _sampled_wigner(state, axes):
+    """The Wigner function of state on the grid with the given (lo, hi, step) axes."""
+    q, p = uniform_axis(*axes[0]), uniform_axis(*axes[1])
+    return GridFunction(axes, wigner(state, (q[:, None], p[None, :])))
+
+
+@pytest.mark.parametrize("theta", [math.pi / 2.0, 1.2])
+def test_radon_covers_an_off_centre_grid(theta):
+    # the state sits at (7, 0); the grid q in [0, 14] is not centred on the origin
+    st = coherent_state(7.0 / math.sqrt(2.0), 120)
+    grid = _sampled_wigner(st, ((0.0, 14.0, 0.05), (-7.0, 7.0, 0.05)))
+    xs = np.linspace(-6.0, 12.0, 73)
+    np.testing.assert_allclose(
+        radon(grid, theta, xs), quadrature_density(st, theta, xs), atol=5e-7
+    )
+
+
+def test_radon_covers_a_rectangular_grid_with_unequal_steps():
+    st = coherent_state(0.9 - 0.3j, 24)
+    grid = _sampled_wigner(st, ((-7.0, 7.0, 0.025), (-6.0, 6.0, 0.04)))
+    xs = np.linspace(-4.0, 4.0, 81)
+    for theta in (0.3, math.pi / 3.0, 1.4, 2.2):
+        np.testing.assert_allclose(
+            radon(grid, theta, xs), quadrature_density(st, theta, xs), atol=5e-7
+        )
+
+
+@pytest.mark.parametrize("theta", [0.3, 1.2, 2.5, -2.0])
+def test_radon_is_the_row_sum_of_1d_splines(theta):
+    # reference: a loop over the grid rows at fixed v, each read along u by
+    # scipy's 1-D cubic spline of the row extended by zeros
+    from scipy import ndimage
+    st = coherent_state(0.5 + 0.4j, 16)
+    axes = ((-6.0, 6.5, 0.1), (-6.0, 6.0, 0.08))
+    grid = _sampled_wigner(st, axes)
+    (q0, _, hq), (p0, _, hp) = axes
+    c, s = math.cos(theta), math.sin(theta)
+    if abs(c) >= abs(s):
+        a, b, u0, hu, vs, hv, samples = c, s, q0, hq, grid.axis_points(1), hp, grid.values
+    else:
+        a, b, u0, hu, vs, hv, samples = s, c, p0, hp, grid.axis_points(0), hq, grid.values.T
+    ts = np.linspace(-3.0, 3.0, 7)
+    want = np.zeros_like(ts)
+    for j, v in enumerate(vs):
+        at = ((ts - v * b) / a - u0) / hu
+        want += ndimage.map_coordinates(samples[:, j], at[None], order=3, mode="grid-constant")
+    np.testing.assert_allclose(radon(grid, theta, ts), want * hv / abs(a), rtol=0, atol=1e-13)
+
+
+SWITCH_STATE = coherent_state(0.9 - 0.3j, 24)
+SWITCH_GRID = wigner_grid(SWITCH_STATE, extent=7.0, step=0.025)
+# either side of |cos| = |sin|, where the summed axis changes, and one angle per quadrant
+SWITCH_ANGLES = [a + d for a in (math.pi / 4.0, 3.0 * math.pi / 4.0, -math.pi / 4.0)
+                 for d in (-1e-9, 1e-9)] + [0.4, 2.0, -2.6, -0.9]
+
+
+@pytest.mark.parametrize("theta", SWITCH_ANGLES)
+def test_radon_on_both_sides_of_the_axis_switch(theta):
+    xs = np.linspace(-4.0, 4.0, 81)
+    np.testing.assert_allclose(
+        radon(SWITCH_GRID, theta, xs), quadrature_density(SWITCH_STATE, theta, xs), atol=5e-7
+    )
+
+
+@pytest.mark.parametrize("theta", [0.4, math.pi / 4.0, 2.0])
+def test_radon_is_zero_far_beyond_the_grid(theta):
+    np.testing.assert_array_equal(radon(SWITCH_GRID, theta, [-50.0, 50.0]), 0.0)
+
+
+def test_radon_rejects_non_finite_samples():
+    grid = wigner_grid(vacuum_state(4), extent=6.0, step=0.1)
+    grid.values[30, 40] = math.nan
+    with pytest.raises(DomainError, match="must be finite"):
+        radon(grid, 0.3, 0.0)
 
 
 def test_radon_requires_decayed_grid():
