@@ -7,6 +7,10 @@ set by the command-line front end) take effect before numpy loads.
 
 __version__ = "0.1.0"
 
+# The string grammar of make_state specs, kept here, away from numpy, so the
+# command line can print it before its thread caps take effect.
+STATE_GRAMMAR = "vacuum | number:<n> | coherent:<re>,<im> | squeezed:<r>,<phi> | file:<path>"
+
 _EXPORTS = {
     "errors": [
         "QuadsuiteError",

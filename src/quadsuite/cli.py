@@ -1,8 +1,12 @@
 """Command-line front door.
 
-Every subcommand is a thin adapter over the library: parse flags, call
-one or two library functions, and return the result as named columns,
-which one %-format renders as CSV (floats as %.12e, text csv-quoted).
+Every subcommand is a thin adapter over the library, declared in one
+place: a ``_command`` registration gives its help text, the state specs
+it reads (--state, --kernel), its --dim default and its own arguments,
+and the run function below it calls one or two library functions.  A run
+returns named columns (1D arrays or lists), columns with a JSON report
+that replaces the rows under --format json, or text written as it is.
+One %-format renders columns as CSV (floats as %.12e, text csv-quoted).
 Output is deterministic (fixed float formatting, no timestamps), CSV by
 default, JSON built from the same columns on request.
 
@@ -19,15 +23,14 @@ import math
 import os
 import sys
 
+from . import STATE_GRAMMAR
+
 _THREAD_VARS = (
     "OMP_NUM_THREADS",
     "OPENBLAS_NUM_THREADS",
     "MKL_NUM_THREADS",
     "NUMEXPR_NUM_THREADS",
 )
-
-# help text only: quadsuite.make_state parses the specs
-STATE_GRAMMAR = "vacuum | number:<n> | coherent:<re>,<im> | squeezed:<r>,<phi> | file:<path>"
 
 
 def _grid_spec(text: str):
@@ -70,211 +73,191 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="quadsuite",
-        description="Quadrature, phase-space, and tomography numerics.",
-    )
-    parser.add_argument(
-        "--threads",
-        type=_positive_int,
-        default=None,
-        help="cap BLAS threads (falls back to QUADSUITE_THREADS)",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, state=True, kernel=False, dim_default=64):
-        if state:
-            p.add_argument("--state", required=True, help=STATE_GRAMMAR)
-        if kernel:
-            p.add_argument("--kernel", required=True, help=STATE_GRAMMAR)
-        p.add_argument("--dim", type=_positive_int, default=dim_default,
-                       help="truncation dimension")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--output", default=None, help="write here instead of stdout")
-
-    p = sub.add_parser("quad-density", help="quadrature density on a grid")
-    common(p)
-    p.add_argument("--theta", type=float, default=0.0)
-    p.add_argument("--grid", type=_grid_spec, default=(-6.0, 6.0, 0.01))
-
-    p = sub.add_parser("wigner", help="Wigner function on a square grid")
-    common(p)
-    p.add_argument("--grid", type=_grid_spec, default=(-8.0, 8.0, 0.02),
-                   help="symmetric square grid min:max:step with min = -max")
-
-    p = sub.add_parser("radon", help="Radon slice of the Wigner function "
-                                     "next to the quadrature density")
-    common(p)
-    p.add_argument("--theta", type=float, default=0.0)
-    p.add_argument("--grid", type=_grid_spec, default=(-6.0, 6.0, 0.05))
-    p.add_argument("--extent", type=float, default=8.0,
-                   help="half-width of the underlying Wigner grid")
-    p.add_argument("--step", type=float, default=0.02,
-                   help="step of the underlying Wigner grid")
-
-    p = sub.add_parser("gk-density", help="covariant observable density on a grid")
-    common(p, kernel=True)
-    p.add_argument("--grid", type=_grid_spec, default=(-6.0, 6.0, 0.05),
-                   help="symmetric square grid min:max:step with min = -max")
-
-    p = sub.add_parser("strip-prob", help="probability of a rotated strip")
-    common(p, kernel=True)
-    p.add_argument("--theta", type=float, default=0.0)
-    p.add_argument("--intervals", type=_intervals_spec, required=True,
-                   help="a,b[;c,d...] (inf allowed)")
-
-    p = sub.add_parser("tomo-generate",
-                       help="tabulate quadrature densities at uniform angles "
-                            "(always the dataset text format)")
-    common(p)
-    p.add_argument("--angles", type=_positive_int, required=True)
-    p.add_argument("--grid", type=_grid_spec, default=(-8.0, 8.0, 0.01))
-
-    p = sub.add_parser("tomo-reconstruct", help="reconstruct a state from a dataset")
-    common(p, state=False, dim_default=6)
-    p.add_argument("--input", required=True, help="dataset file")
-    p.add_argument("--reference", default=None,
-                   help=f"optional reference state ({STATE_GRAMMAR}) "
-                        "for a Frobenius error column")
-    p.add_argument("--state-output", default=None,
-                   help="also save the reconstructed state as JSON here")
-
-    p = sub.add_parser("markov-kernel", help="generalized Markov kernel values")
-    p.add_argument("--index", type=int, default=0, help="number-state kernel index")
-    p.add_argument("--theta", type=float, default=0.0)
-    p.add_argument("--point", type=_point_spec, default=(0.0, 0.0))
-    p.add_argument("--grid", type=_grid_spec, default=(-4.0, 4.0, 0.01))
-    p.add_argument("--form", choices=("derivative", "series"), default="derivative")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--output", default=None)
-
-    p = sub.add_parser("moments-demo", help="sequential-measurement moment recovery")
-    common(p)
-    p.add_argument("--theta", type=float, default=math.pi / 3.0)
-    p.add_argument("--mu-var", type=float, default=0.5)
-    p.add_argument("--nu-var", type=float, default=0.5)
-    p.add_argument("--k-max", type=_positive_int, default=12)
-
-    p = sub.add_parser("complementarity-report",
-                       help="trace formula, commutator, Weyl, and uncertainty checks")
-    p.add_argument("--dim", type=_positive_int, default=200)
-    p.add_argument("--theta", type=float, default=math.pi / 2.0)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--output", default=None)
-
-    return parser
-
-
 class _ConfigError(Exception):
     pass
 
 
-def _square_extent(grid) -> tuple[float, float]:
-    lo, hi, step = grid
+def _arg(*flags, **options):
+    """The arguments of one add_argument call."""
+    return flags, options
+
+
+_THETA = _arg("--theta", type=float, default=0.0)
+_SQUARE_HELP = "symmetric square grid min:max:step with min = -max"
+
+# name -> (help text, state flags, --dim default or None, own arguments, run)
+_COMMANDS = {}
+
+
+def _command(name, summary, *arguments, states=("state",), dim=64):
+    """Register the decorated run(lib, args, *states) as subcommand name.
+    Each of ``states`` is a required flag whose spec is made into a state
+    of dimension --dim before run is called, in that order."""
+    def register(run):
+        _COMMANDS[name] = (summary, states, dim, arguments, run)
+        return run
+    return register
+
+
+def _square_grid(make, spec, *states) -> dict:
+    """Columns q, p, value of make(*states, extent=, step=) on the
+    symmetric square grid spec (lo, hi, step) with lo = -hi."""
+    lo, hi, step = spec
     if abs(lo + hi) > 1e-12:
         raise _ConfigError(f"square grids need min = -max, got {lo}:{hi}")
-    return hi, step
-
-
-def _grid_columns(grid) -> dict:
     import numpy as np
 
+    grid = make(*states, extent=hi, step=step)
     q, p = np.meshgrid(grid.axis_points(0), grid.axis_points(1), indexing="ij")
     return {"q": q.ravel(), "p": p.ravel(), "value": grid.values.ravel()}
 
 
-def _run(args) -> tuple[dict, object]:
-    """Execute one subcommand; returns (columns, json_payload): each named
-    column is a 1D array or list, and a None payload means JSON of the columns."""
+@_command("quad-density", "quadrature density on a grid",
+          _THETA, _arg("--grid", type=_grid_spec, default=(-6.0, 6.0, 0.01)))
+def _quad_density(lib, args, state):
+    xs = lib.uniform_axis(*args.grid)
+    return {"x": xs, "density": lib.quadrature_density(state, args.theta, xs)}
+
+
+@_command("wigner", "Wigner function on a square grid",
+          _arg("--grid", type=_grid_spec, default=(-8.0, 8.0, 0.02), help=_SQUARE_HELP))
+def _wigner(lib, args, state):
+    return _square_grid(lib.wigner_grid, args.grid, state)
+
+
+@_command("radon", "Radon slice of the Wigner function next to the quadrature density",
+          _THETA, _arg("--grid", type=_grid_spec, default=(-6.0, 6.0, 0.05)),
+          _arg("--extent", type=float, default=8.0,
+               help="half-width of the underlying Wigner grid"),
+          _arg("--step", type=float, default=0.02,
+               help="step of the underlying Wigner grid"))
+def _radon(lib, args, state):
+    grid = lib.wigner_grid(state, extent=args.extent, step=args.step)
+    xs = lib.uniform_axis(*args.grid)
+    slice_vals = lib.radon(grid, args.theta, xs)
+    dens = lib.quadrature_density(state, args.theta, xs)
+    return {"x": xs, "radon": slice_vals, "quadrature": dens, "difference": slice_vals - dens}
+
+
+@_command("gk-density", "covariant observable density on a grid",
+          _arg("--grid", type=_grid_spec, default=(-6.0, 6.0, 0.05), help=_SQUARE_HELP),
+          states=("state", "kernel"))
+def _gk_density(lib, args, state, kernel):
+    return _square_grid(lib.gk_grid, args.grid, state, kernel)
+
+
+@_command("strip-prob", "probability of a rotated strip",
+          _THETA, _arg("--intervals", type=_intervals_spec, required=True,
+                       help="a,b[;c,d...] (inf allowed)"),
+          states=("state", "kernel"))
+def _strip_prob(lib, args, state, kernel):
+    window = lib.IntervalSet.of(*args.intervals)
+    prob = lib.strip_probability(state, kernel, args.theta, window)
+    text = ";".join(f"{a:g},{b:g}" for a, b in args.intervals)
+    return {"theta": [args.theta], "intervals": [text], "probability": [prob]}
+
+
+@_command("tomo-generate",
+          "tabulate quadrature densities at uniform angles (always the dataset text format)",
+          _arg("--angles", type=_positive_int, required=True),
+          _arg("--grid", type=_grid_spec, default=(-8.0, 8.0, 0.01)))
+def _tomo_generate(lib, args, state):
+    buf = io.StringIO()
+    lib.save_dataset(lib.generate_dataset(state, args.angles, args.grid), buf)
+    return buf.getvalue()
+
+
+@_command("tomo-reconstruct", "reconstruct a state from a dataset",
+          _arg("--input", required=True, help="dataset file"),
+          _arg("--reference", default=None,
+               help=f"optional reference state ({STATE_GRAMMAR}) for a Frobenius error column"),
+          _arg("--state-output", default=None,
+               help="also save the reconstructed state as JSON here"),
+          states=(), dim=6)
+def _tomo_reconstruct(lib, args):
+    data = lib.load_dataset(args.input)
+    rec = lib.reconstruct_state(data, args.dim)
+    if args.state_output:
+        lib.save_state(rec, args.state_output)
+    columns = {
+        "dim": [args.dim],
+        "angles": [data.angles],
+        "clipped_mass": [rec.meta["clipped_mass"]],
+        "fit_residual": [rec.meta["fit_residual"]],
+    }
+    if args.reference:
+        ref = lib.make_state(args.reference, args.dim)
+        import numpy as np
+
+        columns["frobenius_error"] = [float(np.linalg.norm(rec.matrix - ref.matrix))]
+    return columns
+
+
+@_command("markov-kernel", "generalized Markov kernel values",
+          _arg("--index", type=int, default=0, help="number-state kernel index"),
+          _THETA, _arg("--point", type=_point_spec, default=(0.0, 0.0)),
+          _arg("--grid", type=_grid_spec, default=(-4.0, 4.0, 0.01)),
+          _arg("--form", choices=("derivative", "series"), default="derivative"),
+          states=(), dim=None)
+def _markov_kernel(lib, args):
+    xs = lib.uniform_axis(*args.grid)
+    vals = lib.markov_kernel_number(args.index, args.point, args.theta, xs, form=args.form)
+    return {"x": xs, "value": vals}
+
+
+@_command("moments-demo", "sequential-measurement moment recovery",
+          _arg("--theta", type=float, default=math.pi / 3.0),
+          _arg("--mu-var", type=float, default=0.5),
+          _arg("--nu-var", type=float, default=0.5),
+          _arg("--k-max", type=_positive_int, default=12))
+def _moments_demo(lib, args, state):
+    report = lib.sequential_demo(state, args.theta, args.mu_var, args.nu_var, args.k_max)
+    channels, ks = report["channels"], range(args.k_max + 1)
+    columns = {"channel": [c for c in channels for _ in ks],
+               "k": [k for _ in channels for k in ks]}
+    for key in ("ground_truth", "smeared", "recovered"):
+        columns[key] = [v for channel in channels.values() for v in channel[key]]
+    columns["rel_error"] = [abs(r - t) / max(1.0, abs(t)) for r, t in
+                            zip(columns["recovered"], columns["ground_truth"])]
+    return columns, report
+
+
+@_command("complementarity-report", "trace formula, commutator, Weyl, and uncertainty checks",
+          _arg("--theta", type=float, default=math.pi / 2.0),
+          states=(), dim=200)
+def _complementarity_report(lib, args):
+    summary = lib.complementarity_summary(args.dim, args.theta)
+    # the one column that mixes an int (dim) with floats
+    values = [v if isinstance(v, int) else "%.12e" % v for v in summary.values()]
+    return {"quantity": list(summary), "value": values}, summary
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="quadsuite", description="Quadrature, phase-space, and tomography numerics.")
+    parser.add_argument("--threads", type=_positive_int, default=None,
+                        help="cap BLAS threads (falls back to QUADSUITE_THREADS)")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (summary, states, dim, arguments, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for state in states:
+            p.add_argument(f"--{state}", required=True, help=STATE_GRAMMAR)
+        if dim is not None:
+            p.add_argument("--dim", type=_positive_int, default=dim,
+                           help="truncation dimension")
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.add_argument("--output", default=None, help="write here instead of stdout")
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
+    return parser
+
+
+def _run(args):
+    """Make the command's states from their specs, then run it."""
     import quadsuite as lib
 
-    if args.command == "quad-density":
-        state = lib.make_state(args.state, args.dim)
-        xs = lib.uniform_axis(*args.grid)
-        return {"x": xs, "density": lib.quadrature_density(state, args.theta, xs)}, None
-
-    if args.command == "wigner":
-        state = lib.make_state(args.state, args.dim)
-        extent, step = _square_extent(args.grid)
-        return _grid_columns(lib.wigner_grid(state, extent=extent, step=step)), None
-
-    if args.command == "radon":
-        state = lib.make_state(args.state, args.dim)
-        grid = lib.wigner_grid(state, extent=args.extent, step=args.step)
-        xs = lib.uniform_axis(*args.grid)
-        slice_vals = lib.radon(grid, args.theta, xs)
-        dens = lib.quadrature_density(state, args.theta, xs)
-        return {"x": xs, "radon": slice_vals, "quadrature": dens,
-                "difference": slice_vals - dens}, None
-
-    if args.command == "gk-density":
-        state = lib.make_state(args.state, args.dim)
-        kernel = lib.make_state(args.kernel, args.dim)
-        extent, step = _square_extent(args.grid)
-        return _grid_columns(lib.gk_grid(state, kernel, extent=extent, step=step)), None
-
-    if args.command == "strip-prob":
-        state = lib.make_state(args.state, args.dim)
-        kernel = lib.make_state(args.kernel, args.dim)
-        window = lib.IntervalSet.of(*args.intervals)
-        prob = lib.strip_probability(state, kernel, args.theta, window)
-        text = ";".join(f"{a:g},{b:g}" for a, b in args.intervals)
-        return {"theta": [args.theta], "intervals": [text], "probability": [prob]}, None
-
-    if args.command == "tomo-generate":
-        state = lib.make_state(args.state, args.dim)
-        data = lib.generate_dataset(state, args.angles, args.grid)
-        buf = io.StringIO()
-        lib.save_dataset(data, buf)
-        return {}, buf.getvalue()
-
-    if args.command == "tomo-reconstruct":
-        data = lib.load_dataset(args.input)
-        rec = lib.reconstruct_state(data, args.dim)
-        if args.state_output:
-            lib.save_state(rec, args.state_output)
-        columns = {
-            "dim": [args.dim],
-            "angles": [data.angles],
-            "clipped_mass": [rec.meta["clipped_mass"]],
-            "fit_residual": [rec.meta["fit_residual"]],
-        }
-        if args.reference:
-            ref = lib.make_state(args.reference, args.dim)
-            import numpy as np
-
-            columns["frobenius_error"] = [float(np.linalg.norm(rec.matrix - ref.matrix))]
-        return columns, None
-
-    if args.command == "markov-kernel":
-        xs = lib.uniform_axis(*args.grid)
-        vals = lib.markov_kernel_number(
-            args.index, args.point, args.theta, xs, form=args.form
-        )
-        return {"x": xs, "value": vals}, None
-
-    if args.command == "moments-demo":
-        state = lib.make_state(args.state, args.dim)
-        report = lib.sequential_demo(
-            state, args.theta, args.mu_var, args.nu_var, args.k_max
-        )
-        channels, ks = report["channels"], range(args.k_max + 1)
-        columns = {"channel": [c for c in channels for _ in ks],
-                   "k": [k for _ in channels for k in ks]}
-        for key in ("ground_truth", "smeared", "recovered"):
-            columns[key] = [v for channel in channels.values() for v in channel[key]]
-        columns["rel_error"] = [abs(r - t) / max(1.0, abs(t)) for r, t in
-                                zip(columns["recovered"], columns["ground_truth"])]
-        return columns, report
-
-    if args.command == "complementarity-report":
-        summary = lib.complementarity_summary(args.dim, args.theta)
-        # the one column that mixes an int (dim) with floats
-        values = [v if isinstance(v, int) else "%.12e" % v for v in summary.values()]
-        return {"quantity": list(summary), "value": values}, summary
-
-    raise _ConfigError(f"unknown command {args.command!r}")
+    _, states, _, _, run = _COMMANDS[args.command]
+    return run(lib, args, *[lib.make_state(getattr(args, s), args.dim) for s in states])
 
 
 def _csv_field(value) -> str:
@@ -285,14 +268,16 @@ def _csv_field(value) -> str:
     return text
 
 
-def _render(args, columns, payload) -> str:
-    """CSV through one %-format for the whole table (%.12e for a column of
-    floats, %s for ints and csv-quoted text), or JSON of the same columns."""
-    if args.command == "tomo-generate":
-        return payload
+def _render(fmt, result) -> str:
+    """Text as it is; columns as CSV through one %-format for the whole
+    table (%.12e for a column of floats, %s for ints and csv-quoted text),
+    or as JSON of the run's report if it gave one, else of the rows."""
+    if isinstance(result, str):
+        return result
+    columns, payload = result if isinstance(result, tuple) else (result, None)
     names = list(columns)
     cells = [col.tolist() if hasattr(col, "tolist") else col for col in columns.values()]
-    if args.format == "json":
+    if fmt == "json":
         if payload is None:
             payload = [dict(zip(names, row)) for row in zip(*cells)]
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -322,8 +307,7 @@ def main(argv=None) -> int:
     )
 
     try:
-        columns, payload = _run(args)
-        text = _render(args, columns, payload)
+        text = _render(args.format, _run(args))
     except StateValidationError as exc:
         print(f"quadsuite: invalid state: {exc}", file=sys.stderr)
         return 3

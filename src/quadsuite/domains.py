@@ -52,10 +52,14 @@ def _phase_point(pt):
 
 def _pointwise(label: str, evaluate, *coords, block: int = 0):
     """The point rule of every pointwise function: broadcast the coordinates,
-    DomainError on a NaN or infinite entry, evaluate(*flat) on ``block``
-    points at a time (0: all at once; an empty input is never evaluated),
-    and a float for scalar or 0-d input, else an array of the broadcast shape."""
-    arrays = [np.asarray(c, dtype=float) for c in coords]
+    DomainError on an entry that is not a real number or is NaN or infinite,
+    evaluate(*flat) on ``block`` points at a time (0: all at once; an empty
+    input is never evaluated), and a float for scalar or 0-d input, else an
+    array of the broadcast shape."""
+    try:
+        arrays = [np.asarray(c, dtype=float) for c in coords]
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{label} must be real numbers: {exc}") from None
     arrays = np.broadcast_arrays(*arrays) if len(arrays) > 1 else arrays
     shape, flat = arrays[0].shape, [_require_finite(label, a.ravel()) for a in arrays]
     size = flat[0].size
@@ -149,7 +153,12 @@ class GridFunction:
         )
 
     def require_decayed(self, tol: float = 1e-12) -> None:
-        """Raise CoverageError unless the boundary frame is below tol."""
+        """Raise DomainError if a sample is NaN or infinite, and
+        CoverageError unless the boundary frame is below tol."""
+        finite = np.isfinite(self.values)
+        if not finite.all():
+            bad = finite.size - np.count_nonzero(finite)
+            raise DomainError(f"grid values must be finite; {bad} of {finite.size} are NaN or infinite")
         worst = self.boundary_max()
         if worst > tol:
             raise CoverageError(

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import STATE_GRAMMAR
 from .domains import IntervalSet, _count, _pointwise, _require_finite
 from .errors import DomainError, StateValidationError
 
@@ -55,7 +56,6 @@ MAX_FUNCTION_DEGREE = 2000
 # double, so those columns are exact zeros and never reach x*x or _far_basis.
 _ZERO_BEYOND = 2.0 * math.sqrt(2 * MAX_FUNCTION_DEGREE + 1)
 
-_STATE_GRAMMAR = "vacuum | number:<n> | coherent:<re>,<im> | squeezed:<r>,<phi> | file:<path>"
 _STATE_ARITY = {"vacuum": (0,), "number": (1,), "coherent": (1, 2), "squeezed": (2,), "file": (1,)}
 _SEED_FLOOR = 1e-297   # h_0 at |x| = 37, near the bottom of double range
 
@@ -326,7 +326,7 @@ def make_state(spec, dim: int) -> TruncatedState:
         spec = (kind, rest) if kind == "file" else (kind, *rest.split(",")) if colon else (kind,)
     kind, *args = spec
     if len(args) not in _STATE_ARITY.get(kind, ()):
-        raise DomainError(f"state spec {spec!r} does not match {_STATE_GRAMMAR}")
+        raise DomainError(f"state spec {spec!r} does not match {STATE_GRAMMAR}")
     if kind == "file":
         return load_state(args[0])
     parse = int if kind == "number" else complex if len(args) == 1 else float

@@ -93,7 +93,7 @@ def radon(grid: GridFunction, theta: float, t):
     exactly periodic.  A NaN or infinite angle, line offset or grid sample
     raises DomainError.
     """
-    grid.require_decayed(BOUNDARY_TOL)
+    grid.require_decayed(BOUNDARY_TOL)                      # refuses non-finite samples too
     theta = math.remainder(_require_finite("theta", theta), 2.0 * math.pi)
     c, s = math.cos(theta), math.sin(theta)
     (q0, _, hq), (p0, _, hp) = grid.axes
@@ -103,7 +103,7 @@ def radon(grid: GridFunction, theta: float, t):
         a, b, u0, hu, v0, hv, samples = s, c, p0, hp, q0, hq, grid.values.T
     nu, nv = samples.shape                                  # samples[u, v]
     # column-major, so that the banded solve overwrites it in place
-    rhs = np.multiply(6.0, _require_finite("grid values", samples), order="F")
+    rhs = np.multiply(6.0, samples, order="F")
     bands = np.repeat([[1.0], [4.0], [1.0]], nu, axis=1)
     # row v of coeffs holds its nu coefficients between three zeros and four
     coeffs = np.zeros((nv, nu + 7))

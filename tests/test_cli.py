@@ -3,10 +3,14 @@ import io
 import json
 import math
 import os
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from quadsuite import cli
 from quadsuite.cli import main
 
 
@@ -470,3 +474,26 @@ def test_grid_cells_nan_negative_zero_and_subnormal(monkeypatch, capsys, fmt):
     assert out == (_row_json(rows) if fmt == "json" else _row_csv(rows))
     if fmt == "csv":
         assert "nan" in out and "-0.000000000000e+00" in out and "4.940656458412e-324" in out
+
+
+def _readme_commands():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## Command line\n.*?```sh\n(.*?)```", readme, re.S).group(1)
+    return [line for line in block.splitlines() if line.startswith("quadsuite ")]
+
+
+def test_readme_commands_parse():
+    # parsing only: every README line names a subcommand with flags it accepts
+    lines = _readme_commands()
+    for line in lines:
+        cli._build_parser().parse_args(shlex.split(line)[1:])
+    assert {shlex.split(line)[1] for line in lines} == set(COMMANDS)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_help_exits_zero(capsys, command):
+    # help strings are %-formatted by argparse, so a stray % fails only here
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert command in capsys.readouterr().out

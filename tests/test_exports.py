@@ -30,3 +30,16 @@ def test_radon_and_cli_leave_scipy_ndimage_unloaded():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def test_cli_parser_loads_no_numpy():
+    # --threads sets the BLAS thread caps after parsing, so numpy must not load before
+    src = str(Path(quadsuite.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys\n"
+            "import quadsuite.cli\n"
+            "quadsuite.cli._build_parser().parse_args(['quad-density', '--state', 'vacuum'])\n"
+            "print('numpy' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

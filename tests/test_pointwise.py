@@ -113,3 +113,16 @@ def test_hermite_degree_must_be_an_integer(n):
 def test_hermite_degree_accepts_numpy_integers():
     assert hermite_function(np.int64(3), 0.3) == hermite_function(3, 0.3)
     np.testing.assert_array_equal(hermite_basis(np.int32(2), [0.3]), hermite_basis(2, [0.3]))
+
+
+NON_NUMERIC_POINTS = {
+    "wigner_string_coordinate": lambda: wigner(STATE, (1.0, "x")),
+    "wigner_string_point": lambda: wigner(STATE, "ab"),
+    "quadrature_density_string": lambda: quadrature_density(STATE, 0.0, "x"),
+}
+
+
+@pytest.mark.parametrize("call", NON_NUMERIC_POINTS.values(), ids=NON_NUMERIC_POINTS.keys())
+def test_non_numeric_points_raise_domain_error(call):
+    with pytest.raises(DomainError, match="must be real numbers"):
+        call()

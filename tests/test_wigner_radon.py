@@ -205,6 +205,14 @@ def test_radon_rejects_non_finite_samples():
         radon(grid, 0.3, 0.0)
 
 
+def test_decay_check_refuses_a_nan_on_the_frame():
+    # nan > tol is false, so the frame maximum alone would let this grid pass
+    grid = wigner_grid(vacuum_state(4), extent=6.0, step=0.5)
+    grid.values[0, 3] = math.nan
+    with pytest.raises(DomainError, match="must be finite; 1 of 625 are NaN or infinite"):
+        grid.require_decayed()
+
+
 def test_radon_requires_decayed_grid():
     st = coherent_state(2.5, 40)
     grid = wigner_grid(st, extent=4.0, step=0.05)
