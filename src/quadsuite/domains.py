@@ -24,18 +24,27 @@ __all__ = [
 
 
 def _require_finite(label: str, values):
-    """Return values unchanged; DomainError if any entry is NaN or infinite."""
-    scalar = isinstance(values, (int, float))      # math.isfinite is ~50x cheaper
-    if not (math.isfinite(values) if scalar else np.isfinite(values).all()):
-        raise DomainError(f"{label} must be finite, got {values}")
+    """Return values unchanged; DomainError if any entry is NaN or infinite.
+    The message names an array's count of such entries, not its values."""
+    if isinstance(values, (int, float)):          # math.isfinite is ~50x cheaper
+        if not math.isfinite(values):
+            raise DomainError(f"{label} must be finite, got {values}")
+        return values
+    finite = np.isfinite(values)
+    if not finite.all():
+        if finite.ndim == 0:
+            raise DomainError(f"{label} must be finite, got {values}")
+        bad = finite.size - np.count_nonzero(finite)
+        raise DomainError(f"{label} must be finite; {bad} of {finite.size} are NaN or infinite")
     return values
 
 
-def _count(label: str, n, hi: int) -> int:
+def _count(label: str, n, hi: float = math.inf) -> int:
     """n as an int; DomainError unless it is an integer in [0, hi].  Numpy
     integers pass; a bool does not."""
     if isinstance(n, bool) or not isinstance(n, numbers.Integral) or not 0 <= n <= hi:
-        raise DomainError(f"{label} {n!r} is not an integer in [0, {hi}]")
+        span = f"in [0, {hi}]" if hi < math.inf else ">= 0"
+        raise DomainError(f"{label} {n!r} is not an integer {span}")
     return int(n)
 
 
@@ -155,10 +164,7 @@ class GridFunction:
     def require_decayed(self, tol: float = 1e-12) -> None:
         """Raise DomainError if a sample is NaN or infinite, and
         CoverageError unless the boundary frame is below tol."""
-        finite = np.isfinite(self.values)
-        if not finite.all():
-            bad = finite.size - np.count_nonzero(finite)
-            raise DomainError(f"grid values must be finite; {bad} of {finite.size} are NaN or infinite")
+        _require_finite("grid values", self.values)
         worst = self.boundary_max()
         if worst > tol:
             raise CoverageError(

@@ -3,19 +3,23 @@ state reconstruction from angle-resolved densities, and the generalized
 Markov kernel that rebuilds phase-space densities from the same data.
 
 The kernel for the number-state smearing |h_n><h_n| depends only on the
-shifted coordinate t = x - q cos(theta) - p sin(theta) and has two
-independent expressions: a finite combination of odd derivatives of the
-Dawson function, and an alternating Hermite series.  Both are implemented
-and cross-checked; the derivative form is the fast production path.
+shifted coordinate t = x - q cos(theta) - p sin(theta) and has three
+expressions: a finite combination of odd derivatives of the Dawson
+function, an alternating Hermite series, and the frequency integral
+K_n(t) = int_0^inf w_n(sigma) cos(sigma t) d sigma with
+w_n(sigma) = sigma e^(-sigma^2/4) L_n(sigma^2/2).  The derivative form
+hands over to the frequency integral where its recurrence loses digits;
+the data functional works in frequency alone, on row spectra kept with
+each dataset.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import binom, dawsn
+from scipy.special import binom, dawsn, eval_laguerre, gammaincc, roots_legendre
 
 from .domains import IntervalSet, _count, _phase_point, _pointwise, _require_finite, uniform_axis
 from .errors import ConditioningError, ConvergenceError, DomainError
@@ -35,6 +39,7 @@ __all__ = [
 ]
 
 MAX_KERNEL_INDEX = 6
+MAX_KERNEL_SHIFT = 100.0   # largest |t| the derivative form evaluates
 SERIES_RTOL = 1e-12
 SERIES_MAX_TERMS = 500
 SERIES_QUIET_RUN = 5
@@ -45,7 +50,10 @@ MAX_DATASET_STEP = 0.02
 CONDITION_LIMIT = 1e10
 
 _SERIES_FIRST_TERMS = 64
-_KERNEL_CHUNK = 1 << 14    # kernel values per block of angles in gk_from_quadrature_data
+_KERNEL_TAIL = 1e-16       # bound on int_sigma_c^inf |w_n| for every n <= MAX_KERNEL_INDEX
+_KERNEL_ATOL = 5e-14       # rounding the Dawson recurrence may carry before the sigma rule takes over
+_X_BLOCK = 128             # x points per block of the row-spectrum table
+_KERNEL_BLOCK = 1 << 12    # kernel points per block: bounds the sigma rule's cosine table
 
 
 def dawson(t):
@@ -76,12 +84,97 @@ def dawson_derivatives(t, order: int) -> np.ndarray:
     return out
 
 
-def _kernel_derivative_form(n: int, t: np.ndarray) -> np.ndarray:
+def _sigma_cut() -> float:
+    """The frequency cut sigma_c: past it, every w_n with n <= MAX_KERNEL_INDEX
+    carries at most _KERNEL_TAIL.  Since |L_n(x)| <= sum_k C(n,k) x^k/k!,
+    int_sigma^inf |w_n| <= sum_k C(n,k) 2^(k+1) Q(k+1, sigma^2/4), with Q
+    the regularized upper incomplete gamma function; that bound grows with
+    n, so it is taken at MAX_KERNEL_INDEX on one 1/8 grid."""
+    k = np.arange(MAX_KERNEL_INDEX + 1)[:, None]
+    sigma = np.arange(0.0, 32.0, 1.0 / 8.0)
+    tails = (binom(MAX_KERNEL_INDEX, k) * 2.0 ** (k + 1) * gammaincc(k + 1, 0.25 * sigma ** 2)).sum(axis=0)
+    return float(sigma[np.argmax(tails <= _KERNEL_TAIL)])
+
+
+_SIGMA_CUT = _sigma_cut()      # 15.625
+
+
+def _node_count(reach: float) -> int:
+    """Gauss-Legendre nodes on [0, sigma_c] for w_n(sigma) e^(i sigma y) at
+    |y| <= reach.  S nodes integrate degree 2S - 1 exactly, and e^(i sigma y)
+    on [0, sigma_c] needs degree about reach sigma_c / 2; w_n itself needs
+    about 40 more.  Against a 60-digit oracle, every n <= 6 was within 1e-13
+    from 0.26 reach sigma_c + 40 nodes up to reach 100 (3e-14 up to reach
+    40), so this takes 0.3 reach sigma_c + 40, rounded up to a multiple of
+    32 so that the points of one dataset share few rules."""
+    return 32 * math.ceil((0.3 * _SIGMA_CUT * reach + 40.0) / 32.0)
+
+
+def _sigma_rule(count: int):
+    """(sigma, weights): count Gauss-Legendre nodes on [0, sigma_c]."""
+    nodes, weights = roots_legendre(count)
+    return 0.5 * _SIGMA_CUT * (nodes + 1.0), 0.5 * _SIGMA_CUT * weights
+
+
+def _kernel_weight(n: int, sigma: np.ndarray) -> np.ndarray:
+    """w_n(sigma) = sigma e^(-sigma^2/4) L_n(sigma^2/2), the kernel's cosine transform."""
+    return sigma * np.exp(-0.25 * sigma ** 2) * eval_laguerre(n, 0.5 * sigma ** 2)
+
+
+def _kernel_integral_form(n: int, t: np.ndarray) -> np.ndarray:
+    """K_n(t) = int_0^sigma_c w_n(sigma) cos(sigma t) d sigma on one rule for
+    the largest |t| of the block."""
+    sigma, weights = _sigma_rule(_node_count(float(np.abs(t).max())))
+    return np.cos(np.outer(t, sigma)) @ (weights * _kernel_weight(n, sigma))
+
+
+def _derivative_reach() -> tuple[float, ...]:
+    """For each kernel index n, the |t| where the Dawson recurrence may start
+    to carry more than _KERNEL_ATOL.  A rounding delta = eps |F(t)| of F
+    travels as delta (-1)^k H_k(t) through F^(k+1) = -2t F^(k) - 2k F^(k-1),
+    so the sum carries delta |sum_u c_u H_(2u+1)(t)| with c_u the
+    coefficients of :func:`_dawson_sum`; the switch is the last point of
+    a 1/8 grid before that first exceeds _KERNEL_ATOL (it is 0 at t = 0)."""
+    t = np.arange(0.0, MAX_KERNEL_SHIFT, 1.0 / 8.0)
+    hermite = [np.ones_like(t), 2.0 * t]
+    for k in range(1, 2 * MAX_KERNEL_INDEX + 1):
+        hermite.append(2.0 * t * hermite[k] - 2.0 * k * hermite[k - 1])
+    delta = np.finfo(float).eps * np.abs(dawsn(t))
+    reach = []
+    for n in range(MAX_KERNEL_INDEX + 1):
+        carried = delta * np.abs(sum(_dawson_coeff(n, u) * hermite[2 * u + 1] for u in range(n + 1)))
+        beyond = np.flatnonzero(carried > _KERNEL_ATOL)
+        reach.append(float(t[beyond[0] - 1]) if beyond.size else MAX_KERNEL_SHIFT)
+    return tuple(reach)
+
+
+def _dawson_coeff(n: int, u: int) -> float:
+    return math.comb(n, u) * 2.0 ** (1 - u) / math.factorial(u)
+
+
+def _dawson_sum(n: int, t: np.ndarray) -> np.ndarray:
     """sum_{u<=n} C(n,u) 2^(1-u)/u! F^(2u+1)(t)."""
     ders = dawson_derivatives(t, 2 * n + 1)
-    out = np.zeros_like(t)
-    for u in range(n + 1):
-        out += math.comb(n, u) * 2.0 ** (1 - u) / math.factorial(u) * ders[2 * u + 1]
+    return sum(_dawson_coeff(n, u) * ders[2 * u + 1] for u in range(n + 1))
+
+
+_DERIVATIVE_REACH = _derivative_reach()
+
+
+def _kernel_derivative_form(n: int, t: np.ndarray) -> np.ndarray:
+    """The Dawson sum up to _DERIVATIVE_REACH[n], the sigma rule past it;
+    ConvergenceError past MAX_KERNEL_SHIFT."""
+    reach = np.abs(t)
+    if reach.max() > MAX_KERNEL_SHIFT:
+        raise ConvergenceError(
+            f"derivative-form kernel is limited to |t| <= {MAX_KERNEL_SHIFT:g}, got |t| up to {reach.max():.3g}"
+        )
+    far = reach > _DERIVATIVE_REACH[n]
+    if not far.any():
+        return _dawson_sum(n, t)
+    out = np.empty_like(t)
+    out[~far] = _dawson_sum(n, t[~far])
+    out[far] = _kernel_integral_form(n, t[far])
     return out
 
 
@@ -135,10 +228,16 @@ def markov_kernel_number(n: int, pt, theta: float, x, form: str = "derivative"):
     the two agree to better than 1e-8 on |t| <= 4.  The series cancels
     terms of size e^(t^2/2), so it raises ConvergenceError wherever
     rounding could cost more than 1e-9: from |t| = 6.4 at n = 0 down to
-    |t| = 5.4 at n = 6.  The derivative form holds for every finite t.
-    At n = 0, t = 0 the value is exactly 2.  A kernel index that is not an
-    integer in [0, MAX_KERNEL_INDEX], or NaN or infinite theta, point or x,
-    raise DomainError.
+    |t| = 5.4 at n = 6.  The derivative form's recurrence amplifies the
+    rounding of F(t) like H_(2n+1)(t), so past an n-dependent |t| (7.5 at
+    n = 1, 2.9 at n = 2, 2.4-2.5 for n = 3..6, never at n = 0) it hands
+    over to the frequency integral int_0^sigma_c w_n(sigma) cos(sigma t)
+    d sigma on a Gauss-Legendre rule.  Either way the value is within
+    1e-13 of the kernel (measured against a 60-digit oracle) for
+    |t| <= MAX_KERNEL_SHIFT = 100, and a larger |t| raises
+    ConvergenceError.  At n = 0, t = 0 the value is exactly 2.  A kernel
+    index that is not an integer in [0, MAX_KERNEL_INDEX], or NaN or
+    infinite theta, point or x, raise DomainError.
     """
     n = _count("kernel index", n, MAX_KERNEL_INDEX)
     q, p = _require_finite("point", np.asarray(_phase_point(pt), dtype=float))
@@ -146,7 +245,7 @@ def markov_kernel_number(n: int, pt, theta: float, x, form: str = "derivative"):
     forms = {"derivative": _kernel_derivative_form, "series": _kernel_series_form}
     if form not in forms:
         raise DomainError(f"unknown kernel form {form!r}")
-    return _pointwise("x", lambda xs: forms[form](n, xs - shift), x)
+    return _pointwise("x", lambda xs: forms[form](n, xs - shift), x, block=_KERNEL_BLOCK)
 
 
 # ---------------------------------------------------------------------------
@@ -173,35 +272,42 @@ def tomography_probability(state: TruncatedState, angles: IntervalSet,
 # datasets and reconstruction
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuadratureDataset:
     """Quadrature densities sampled at J equally spaced angles 2 pi j / J.
 
     ``values[j, i]`` is the density at angle theta_j and point x_i, where
     the x grid is the uniform axis described by ``x_axis``.  Rows must be
     finite, nonnegative (to -1e-10) and integrate to one within 1e-6.
+    A dataset is immutable once validated: ``values`` is made read-only in
+    place (not copied), so a row spectrum kept by
+    :func:`gk_from_quadrature_data` cannot go stale.
     """
 
     angles: int
     x_axis: tuple[float, float, float]
     values: np.ndarray
+    _spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
+        values = np.asarray(self.values, dtype=float)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "angles", _count("angle count", self.angles))
         xs = uniform_axis(*self.x_axis)
-        if self.angles < 1 or self.values.shape != (self.angles, xs.size):
+        if self.angles < 1 or values.shape != (self.angles, xs.size):
             raise DomainError(
-                f"values shape {self.values.shape} does not match "
+                f"values shape {values.shape} does not match "
                 f"{self.angles} angles x {xs.size} points"
             )
-        if not np.isfinite(self.values).all():
+        if not np.isfinite(values).all():
             raise DomainError("densities must be finite (NaN or infinite sample)")
-        if float(self.values.min()) < -1e-10:
+        if float(values.min()) < -1e-10:
             raise DomainError("densities must be nonnegative")
-        masses = np.trapezoid(self.values, dx=self.x_axis[2], axis=1)
+        masses = np.trapezoid(values, dx=self.x_axis[2], axis=1)
         worst = float(np.max(np.abs(masses - 1.0)))
         if worst > 1e-6:
             raise DomainError(f"a density row integrates to 1{worst:+.2e}, not 1")
+        values.flags.writeable = False
 
     @property
     def thetas(self) -> np.ndarray:
@@ -230,6 +336,7 @@ def generate_dataset(state: TruncatedState, angles: int,
     Hermite table gives every B_d, and all J rows come from one real
     product [w_d cos d theta_j | w_d sin d theta_j] @ [Re B; Im B].
     """
+    angles = _count("angle count", angles)
     if angles < 1:
         raise DomainError(f"need at least one angle, got {angles}")
     xs = uniform_axis(*x_axis)
@@ -289,6 +396,7 @@ def reconstruct_state(data: QuadratureDataset, dim: int) -> TruncatedState:
     physical cone by clipping negative eigenvalues and renormalizing;
     the clipped mass and fit residual land in ``meta``.
     """
+    dim = _count("dim", dim)
     if dim < 1:
         raise DomainError("dim must be positive")
     if data.angles < 2 * dim - 1:
@@ -328,15 +436,63 @@ def reconstruct_state(data: QuadratureDataset, dim: int) -> TruncatedState:
     )
 
 
+def _row_spectra(data: QuadratureDataset, count: int):
+    """(sigma, W, P): the count-node sigma rule and the row spectra
+    P_j(sigma) = sum_i omega_i p_j(x_i) e^(i sigma x_i), with the trapezoid
+    weights omega_i, computed once per node count and kept on the dataset.
+    The table e^(i sigma x_i) is built _X_BLOCK points at a time as
+    e^(i sigma x_0) e^(i sigma k h), and each block's real view
+    [cos | sin] (interleaved) multiplies the real values.  For even J the
+    row at theta_j + pi enters the functional as the conjugate of a row at
+    theta_j, so P keeps the J/2 folded rows P_j + conj(P_(j+J/2))."""
+    kept = data._spectra.get(count)
+    if kept is None:
+        sigma, weights = _sigma_rule(count)
+        lo, _, step = data.x_axis
+        size = data.values.shape[1]
+        phase = step * np.outer(np.arange(min(_X_BLOCK, size)), sigma)
+        steps = np.empty(phase.shape, dtype=complex)      # e^(i sigma k h); cos and sin beat a complex exp
+        np.cos(phase, out=steps.real)
+        np.sin(phase, out=steps.imag)
+        sums = np.zeros((data.angles, 2 * count))
+        for start in range(0, size, _X_BLOCK):
+            table = steps[: size - start] * np.exp(1j * (lo + start * step) * sigma)
+            if start == 0:
+                table[0] *= 0.5
+            if start + len(table) == size:
+                table[-1] *= 0.5
+            sums += data.values[:, start : start + len(table)] @ table.view(float)
+        spectra = step * sums.view(complex)
+        if data.angles % 2 == 0:      # s_(j + J/2) = -s_j, and Re[e^(i a) P] = Re[e^(-i a) conj(P)]
+            spectra = spectra[: data.angles // 2] + spectra[data.angles // 2 :].conj()
+        kept = data._spectra[count] = (sigma, weights, spectra)
+    return kept
+
+
 def gk_from_quadrature_data(data: QuadratureDataset, n: int, pt) -> float:
     """Phase-space density of the covariant observable with kernel
     |h_n><h_n| rebuilt from quadrature data alone.
 
-    Averages the Markov kernel against the tabulated densities: the
+    Averages the Markov kernel against the tabulated densities with the
     rectangle rule over the J angles (spectrally accurate for periodic
-    integrands) and the trapezoid rule over x.  A kernel index that is not
-    an integer in [0, MAX_KERNEL_INDEX] or a NaN or infinite point raises
-    DomainError.
+    integrands) and the trapezoid rule over x, in frequency:
+    g(q, p) = (1/J) sum_j int_0^sigma_c w_n(sigma) Re[e^(-i sigma s_j) P_j(sigma)] d sigma,
+    with s_j = q cos theta_j + p sin theta_j, w_n(sigma) = sigma e^(-sigma^2/4) L_n(sigma^2/2)
+    and the row spectra P_j(sigma) = sum_i omega_i p_j(x_i) e^(i sigma x_i).
+
+    The sigma rule: since |P_j| <= 1, cutting at sigma_c = 15.625 drops at
+    most 1e-16 of w_n for any data, and S Gauss-Legendre nodes on
+    [0, sigma_c] resolve e^(i sigma (x - s_j)) for |x - s_j| <= max|x| + r,
+    with r the point's radius (see :func:`_node_count`; S = 96 for the
+    default axis and r < 4).  A point with r > max|x| raises
+    DomainError: there the data window cuts off the kernel's 1/t^2 tail.
+    The spectra are computed on the first call at each S and kept on the
+    dataset: J x S complex values, halved for even J by folding each row
+    onto the opposite angle (S/X of its values: 6 % at S = 96 on the
+    default 1601 points), so later calls cost O(J S).
+
+    A kernel index that is not an integer in [0, MAX_KERNEL_INDEX], or a
+    NaN or infinite point, raises DomainError.
     """
     n = _count("kernel index", n, MAX_KERNEL_INDEX)
     if data.angles < MIN_DATASET_ANGLES:
@@ -344,12 +500,11 @@ def gk_from_quadrature_data(data: QuadratureDataset, n: int, pt) -> float:
     if data.x_axis[2] > MAX_DATASET_STEP + 1e-15:
         raise DomainError(f"x step must be at most {MAX_DATASET_STEP}")
     q, p = _require_finite("point", np.asarray(_phase_point(pt), dtype=float))
-    xs = data.xs
-    shifts = q * np.cos(data.thetas) + p * np.sin(data.thetas)
-    rows = max(1, _KERNEL_CHUNK // xs.size)
-    total = 0.0
-    for start in range(0, data.angles, rows):
-        block = slice(start, start + rows)
-        kernel = _kernel_derivative_form(n, xs - shifts[block, None])
-        total += float(np.trapezoid(kernel * data.values[block], dx=data.x_axis[2], axis=1).sum())
-    return total / data.angles
+    edge = max(abs(data.x_axis[0]), abs(data.x_axis[1]))
+    radius = math.hypot(q, p)
+    if radius > edge:
+        raise DomainError(f"point radius {radius:.6g} exceeds the data axis reach max|x| = {edge:.6g}")
+    sigma, weights, spectra = _row_spectra(data, _node_count(edge + radius))
+    thetas = data.thetas[: len(spectra)]
+    phase = np.exp(-1j * np.outer(q * np.cos(thetas) + p * np.sin(thetas), sigma))
+    return float((phase * spectra).real.sum(axis=0) @ (weights * _kernel_weight(n, sigma))) / data.angles

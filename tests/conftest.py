@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -51,6 +52,25 @@ def panel_rule():
         return np.concatenate(xs), np.concatenate(ws)
 
     return rule
+
+
+@pytest.fixture(scope="session")
+def kernel_oracle():
+    """K_n(t) = int_0^inf s e^(-s^2/4) L_n(s^2/2) cos(s t) ds at 60 digits.
+
+    L_n(x) = sum_k C(n,k) (-x)^k / k! integrates term by term:
+    int_0^inf s^(2k+1) e^(-s^2/4) cos(s t) ds = k! 2^(2k+1) 1F1(k+1; 1/2; -t^2),
+    so K_n(t) = sum_k C(n,k) (-1)^k 2^(k+1) 1F1(k+1; 1/2; -t^2): no
+    recurrence, and no cancellation left at this precision.
+    """
+
+    def kernel(n, t):
+        with mpmath.workdps(60):
+            t2 = mpmath.mpf(t) ** 2
+            return float(sum(math.comb(n, k) * (-1) ** k * mpmath.mpf(2) ** (k + 1)
+                             * mpmath.hyp1f1(k + 1, 0.5, -t2) for k in range(n + 1)))
+
+    return kernel
 
 
 @pytest.fixture(params=["header number", "non-numeric cell", "ragged rows", "non-utf8"])

@@ -111,6 +111,14 @@ def test_markov_kernel_series_refuses_cancelled_digits(capsys):
     assert "Traceback" not in err
 
 
+def test_markov_kernel_past_the_shift_cap_exits_4(capsys):
+    code, out, err = run_cli(capsys, "markov-kernel", "--index", "2", "--grid=0:200:50")
+    assert code == 4
+    assert out == ""
+    assert "limited to |t| <= 100" in err
+    assert "Traceback" not in err
+
+
 def test_tomo_roundtrip(tmp_path, capsys):
     dataset = tmp_path / "data.txt"
     code, _, _ = run_cli(

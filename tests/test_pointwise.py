@@ -70,6 +70,15 @@ def test_point_rule(f):
             f(bad)
 
 
+def test_non_finite_message_counts_entries_instead_of_listing_them():
+    # the message used to print the whole array: 10 957 characters here
+    x = np.linspace(-3.0, 3.0, 900)
+    x[5] = math.nan
+    with pytest.raises(DomainError, match="x must be finite; 1 of 900 are NaN or infinite") as caught:
+        quadrature_density(STATE, 0.0, x)
+    assert len(str(caught.value)) < 80
+
+
 @pytest.mark.parametrize("t", [math.nan, math.inf, np.array([0.0, -math.inf])])
 def test_dawson_derivatives_reject_non_finite_points(t):
     with pytest.raises(DomainError, match="must be finite"):

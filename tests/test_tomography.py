@@ -1,6 +1,8 @@
+import dataclasses
 import io
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -20,7 +22,6 @@ from quadsuite import (
     load_dataset,
     markov_kernel_number,
     number_state,
-    pure_state,
     quadrature_density,
     reconstruct_state,
     save_dataset,
@@ -140,6 +141,37 @@ def test_kernel_series_keeps_the_benchmark_range():
         assert np.max(np.abs(d - s)) < 1e-7
 
 
+def test_kernel_oracle_is_the_defining_integral(kernel_oracle):
+    # the closed form against mpmath.quadosc of int_0^inf w_6(s) cos(6 s) ds,
+    # with L_6(s^2/2) = sum_k C(6,k) (-s^2/2)^k / k!
+    laguerre = [math.comb(6, k) * (-0.5) ** k / math.factorial(k) for k in range(7)]
+    with mpmath.workdps(20):
+        w6 = lambda s: s * mpmath.exp(-s * s / 4) * mpmath.polyval(laguerre[::-1], s * s)
+        want = mpmath.quadosc(lambda s: w6(s) * mpmath.cos(6 * s), [0, mpmath.inf], omega=6)
+    assert abs(kernel_oracle(6, 6.0) - float(want)) < 1e-15
+    assert [kernel_oracle(n, 0.0) for n in range(3)] == [2.0, -2.0, 2.0]
+
+
+SHIFTS = [-25.0, -7.3, -2.9, -0.6, 0.0, 1.3, 2.6, 3.4, 4.5, 6.0, 10.0, 15.0, 25.0]
+
+
+@pytest.mark.parametrize("n", range(tomography.MAX_KERNEL_INDEX + 1))
+def test_derivative_form_matches_mpmath_up_to_large_shifts(n, kernel_oracle):
+    # the Dawson recurrence alone returned +8.81 at n = 6, t = 25, where
+    # the kernel is -1.65e-3; past its reach the sigma rule takes over
+    got = markov_kernel_number(n, (0.0, 0.0), 0.0, np.array(SHIFTS))
+    want = np.array([kernel_oracle(n, t) for t in SHIFTS])
+    assert np.max(np.abs(got - want)) <= 1e-13
+    assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want))
+
+
+def test_derivative_form_refuses_shifts_past_its_cap(kernel_oracle):
+    cap = tomography.MAX_KERNEL_SHIFT
+    assert abs(markov_kernel_number(6, (0.0, 0.0), 0.0, -cap) - kernel_oracle(6, cap)) <= 1e-13
+    with pytest.raises(ConvergenceError, match="limited to"):
+        markov_kernel_number(0, (0.0, 0.0), 0.0, np.array([0.0, cap + 0.5]))
+
+
 def test_dataset_validation():
     xs_axis = (-8.0, 8.0, 0.01)
     good = generate_dataset(vacuum_state(6), 4, xs_axis)
@@ -161,6 +193,27 @@ def test_dataset_validation():
         non_finite[3, 0] = bad
         with pytest.raises(DomainError, match="finite"):
             QuadratureDataset(4, xs_axis, non_finite)
+
+
+def test_dataset_is_read_only_after_validation():
+    # a write used to go through, and the functional then returned nan
+    data = generate_dataset(vacuum_state(4), 32, (-8.0, 8.0, 0.02))
+    with pytest.raises(ValueError, match="read-only"):
+        data.values[0, 5] = math.nan
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        data.values = np.zeros_like(data.values)
+    assert math.isfinite(gk_from_quadrature_data(data, 0, (0.1, 0.2)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: generate_dataset(vacuum_state(4), 2.5),
+    lambda: generate_dataset(vacuum_state(4), True),
+    lambda: reconstruct_state(generate_dataset(vacuum_state(4), 8), 2.5),
+    lambda: QuadratureDataset(True, (-8.0, 8.0, 0.01), generate_dataset(vacuum_state(4), 1).values),
+], ids=["angles-float", "angles-bool", "dim-float", "dataset-angles-bool"])
+def test_counts_must_be_integers(call):
+    with pytest.raises(DomainError, match="not an integer"):
+        call()
 
 
 def test_dataset_roundtrip_through_file(tmp_path):
@@ -301,6 +354,26 @@ def test_gk_from_data_rejects_non_finite_point(pt):
         gk_from_quadrature_data(data, 0, pt)
 
 
+@pytest.mark.parametrize("angles,rows", [(33, 33), (34, 17)])
+def test_gk_from_data_folds_opposite_angles_only_when_it_can(angles, rows, rng, random_pure):
+    # an even J keeps J/2 rows folded onto the opposite angle, an odd J all rows
+    state = random_pure(rng, 5, 10)
+    data = generate_dataset(state, angles)
+    for n, pt in [(0, (0.4, -0.9)), (3, (-1.1, 0.2))]:
+        want = float(gk_density(state, number_state(n, 10), pt))
+        assert abs(gk_from_quadrature_data(data, n, pt) - want) <= 1e-12
+    assert [len(spectra) for _, _, spectra in data._spectra.values()] == [rows]
+
+
+@pytest.mark.parametrize("pt", [(6.0, 6.0), (0.0, -8.5), (-20.0, 1.0)])
+def test_gk_from_data_refuses_points_beyond_the_data_axis(pt):
+    # past max|x| the data window cuts off the kernel's 1/t^2 tail
+    data = generate_dataset(vacuum_state(4), 32, (-8.0, 8.0, 0.02))
+    with pytest.raises(DomainError, match="radius"):
+        gk_from_quadrature_data(data, 0, pt)
+    assert math.isfinite(gk_from_quadrature_data(data, 0, (8.0, 0.0)))
+
+
 @pytest.mark.parametrize("n", [-1, 7, 30])
 def test_gk_from_data_rejects_kernel_index_out_of_range(n):
     # unchecked, n = 30 gave 3.5e-4 for the vacuum at the origin, where gk is 0
@@ -390,18 +463,3 @@ def test_reconstruction_matches_per_band_complex_fit(dim, angles):
     evals = np.maximum(evals, 0.0)
     want = (evecs * (evals / evals.sum())) @ evecs.conj().T
     assert np.max(np.abs(reconstruct_state(data, dim).matrix - want)) <= 1e-15
-
-
-@pytest.mark.parametrize("angles,axis", [(64, (-8.0, 8.0, 0.01)), (50, (-8.0, 8.0, 0.02))])
-def test_gk_from_data_matches_per_angle_loop(angles, axis):
-    # 64 angles make six blocks of 10 rows and one of 4; 50 make 20, 20 and 10
-    data = generate_dataset(pure_state(np.array([0.6, 0.3 - 0.5j, 0.2j, 0.4]), 8), angles, axis)
-    assert angles % (tomography._KERNEL_CHUNK // data.xs.size) != 0
-    for n in range(3):
-        for pt in [(0.0, 0.0), (0.8, -0.4), (-1.1, 0.3)]:
-            shifts = pt[0] * np.cos(data.thetas) + pt[1] * np.sin(data.thetas)
-            total = 0.0
-            for shift, row in zip(shifts, data.values):
-                kernel = markov_kernel_number(n, (0.0, 0.0), 0.0, data.xs - shift)
-                total += float(np.trapezoid(kernel * row, dx=axis[2]))
-            assert abs(gk_from_quadrature_data(data, n, pt) - total / angles) <= 1e-15
