@@ -22,6 +22,7 @@ from quadsuite import (
     load_dataset,
     markov_kernel_number,
     number_state,
+    pure_state,
     quadrature_density,
     reconstruct_state,
     save_dataset,
@@ -463,3 +464,19 @@ def test_reconstruction_matches_per_band_complex_fit(dim, angles):
     evals = np.maximum(evals, 0.0)
     want = (evecs * (evals / evals.sum())) @ evecs.conj().T
     assert np.max(np.abs(reconstruct_state(data, dim).matrix - want)) <= 1e-15
+
+
+@pytest.mark.parametrize("angles,axis", [(64, (-8.0, 8.0, 0.01)), (50, (-8.0, 8.0, 0.02))])
+def test_gk_from_data_matches_per_angle_loop(angles, axis):
+    # the frequency-domain functional is the trapezoid sum of the kernel
+    # against each row, averaged over the angles; 64 angles fold their
+    # rows onto the opposite angle, 50 keep them all
+    data = generate_dataset(pure_state(np.array([0.6, 0.3 - 0.5j, 0.2j, 0.4]), 8), angles, axis)
+    for n in range(3):
+        for pt in [(0.0, 0.0), (0.8, -0.4), (-1.1, 0.3)]:
+            shifts = pt[0] * np.cos(data.thetas) + pt[1] * np.sin(data.thetas)
+            total = 0.0
+            for shift, row in zip(shifts, data.values):
+                kernel = markov_kernel_number(n, (0.0, 0.0), 0.0, data.xs - shift)
+                total += float(np.trapezoid(kernel * row, dx=axis[2]))
+            assert abs(gk_from_quadrature_data(data, n, pt) - total / angles) <= 1e-15
