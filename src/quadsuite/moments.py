@@ -11,11 +11,12 @@ even pins down the full density, which is a Gaussian times a polynomial.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domains import _require_finite
+from .domains import _count, _require_finite
 from .errors import DomainError
 from .fock import TruncatedState
 from .quadrature import quadrature_moment
@@ -114,6 +115,7 @@ def gaussian_moments(mean: float, var: float, k_max: int) -> MomentSequence:
     _require_finite("mean", mean)
     if _require_finite("variance", var) < 0:
         raise DomainError("variance must be nonnegative")
+    k_max = _count("k_max", k_max)
     central = [0.0] * (k_max + 1)
     for j in range(0, k_max + 1, 2):
         central[j] = math.prod(range(1, j, 2)) * var ** (j // 2)
@@ -127,7 +129,7 @@ def gaussian_moments(mean: float, var: float, k_max: int) -> MomentSequence:
 def quadrature_moment_sequence(state: TruncatedState, theta: float,
                                k_max: int) -> MomentSequence:
     """Moments of the quadrature distribution of ``state`` at angle theta."""
-    vals = [quadrature_moment(state, theta, k) for k in range(k_max + 1)]
+    vals = [quadrature_moment(state, theta, k) for k in range(_count("k_max", k_max) + 1)]
     return MomentSequence(tuple(vals))
 
 
@@ -142,9 +144,9 @@ def fit_gaussian_polynomial_density(moments: MomentSequence, degree: int):
     loses digits fast with degree, so a degree above MAX_DEMO_ORDER, or
     a negative one, raises DomainError.
     """
-    if degree < 0:
+    if isinstance(degree, numbers.Integral) and degree < 0:
         raise DomainError(f"degree {degree} is negative")
-    if degree > MAX_DEMO_ORDER:
+    if _count("degree", degree) > MAX_DEMO_ORDER:
         raise DomainError(f"degree {degree} exceeds {MAX_DEMO_ORDER}; the monomial fit loses precision")
     _require_order(moments, degree, "moments")
     idx = np.arange(degree + 1)
@@ -172,7 +174,7 @@ def sequential_demo(state: TruncatedState, theta: float, mu_var: float,
     Returns a JSON-compatible report with the three sequences per channel
     and the worst relative error (denominator max(1, |truth|)).
     """
-    if k_max > MAX_DEMO_ORDER:
+    if _count("k_max", k_max) > MAX_DEMO_ORDER:
         raise DomainError(
             f"k_max {k_max} exceeds {MAX_DEMO_ORDER}; higher orders lose "
             "precision to binomial cancellation"

@@ -18,7 +18,7 @@ import math
 import numpy as np
 from scipy.linalg import expm
 
-from .domains import IntervalSet, _pointwise, _require_finite
+from .domains import IntervalSet, _count, _pointwise, _require_finite
 from .errors import DomainError
 from .fock import TruncatedState, _rotated, hermite_basis, overlap_matrix
 
@@ -44,7 +44,7 @@ def quadrature_matrix(theta: float, dim: int) -> np.ndarray:
     Off-diagonal entries: (Q_theta)_{n,n+1} = exp(-i theta) sqrt((n+1)/2)
     and the Hermitian mirror below the diagonal.
     """
-    if dim < 1:
+    if _count("dim", dim) < 1:
         raise DomainError("dim must be positive")
     off = np.sqrt(np.arange(1, dim) / 2.0)
     mat = np.zeros((dim, dim), dtype=complex)
@@ -83,9 +83,7 @@ def quadrature_moment(state: TruncatedState, theta: float, k: int) -> float:
     levels within distance k; computing on a basis enlarged by k keeps
     every path inside the truncation and removes the boundary bias.
     """
-    if k < 0 or k > MAX_MOMENT_ORDER:
-        raise DomainError(f"moment order {k} outside [0, {MAX_MOMENT_ORDER}]")
-    if k == 0:
+    if _count("moment order", k, MAX_MOMENT_ORDER) == 0:
         return 1.0
     big = state.dim + k
     q_th = quadrature_matrix(theta, big)
@@ -100,7 +98,7 @@ def commutator_block(theta: float, dim: int) -> np.ndarray:
     The truncation corrupts only entries touching the highest level, so
     inside this block the commutator equals i sin(theta) times identity.
     """
-    if dim < 3:
+    if _count("dim", dim) < 3:
         raise DomainError("need dim >= 3 for a nonempty commutator block")
     q = quadrature_matrix(0.0, dim)
     q_th = quadrature_matrix(theta, dim)
@@ -177,7 +175,7 @@ def weyl_relation_deviation(q: float, p: float, dim: int) -> float:
     dim/2 block, where boundary effects have died off.  NaN or infinite
     q or p raise DomainError.
     """
-    if dim < 2:
+    if _count("dim", dim) < 2:
         raise DomainError("need dim >= 2")
     _require_finite("q", q)
     _require_finite("p", p)

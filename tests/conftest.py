@@ -4,7 +4,14 @@ import mpmath
 import numpy as np
 import pytest
 
-from quadsuite import generate_dataset, number_state, pure_state, save_dataset, state_from_matrix
+from quadsuite import (
+    generate_dataset,
+    hermite_basis,
+    number_state,
+    pure_state,
+    save_dataset,
+    state_from_matrix,
+)
 
 
 @pytest.fixture
@@ -71,6 +78,29 @@ def kernel_oracle():
                              * mpmath.hyp1f1(k + 1, 0.5, -t2) for k in range(n + 1)))
 
     return kernel
+
+
+@pytest.fixture(scope="session")
+def per_band_fit():
+    """The reconstruction's reference: one complex least-squares fit per
+    band of sum_j exp(i d theta_j) p_j / J against h_{n+d} h_n, then the
+    same projection onto the physical cone as ``reconstruct_state``."""
+
+    def fit(data, dim):
+        basis = hermite_basis(dim - 1, data.xs)
+        rho = np.zeros((dim, dim), dtype=complex)
+        for d in range(dim):
+            band = np.exp(1j * d * data.thetas) @ data.values / data.angles
+            design = (basis[d:] * basis[: dim - d]).T
+            coeffs = np.linalg.lstsq(design, band, rcond=None)[0]
+            ns = np.arange(dim - d)
+            rho[ns + d, ns] = coeffs
+            rho[ns, ns + d] = coeffs.conj()
+        evals, evecs = np.linalg.eigh(0.5 * (rho + rho.conj().T))
+        evals = np.maximum(evals, 0.0)
+        return (evecs * (evals / evals.sum())) @ evecs.conj().T
+
+    return fit
 
 
 @pytest.fixture(params=["header number", "non-numeric cell", "ragged rows", "non-utf8"])

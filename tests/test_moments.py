@@ -7,6 +7,7 @@ import pytest
 from quadsuite import (
     DomainError,
     MomentSequence,
+    commutator_block,
     convolved_moments,
     fit_gaussian_polynomial_density,
     gaussian_moments,
@@ -14,9 +15,12 @@ from quadsuite import (
     number_state,
     pure_state,
     quadrature_density,
+    quadrature_matrix,
+    quadrature_moment,
     quadrature_moment_sequence,
     sequential_demo,
     vacuum_state,
+    weyl_relation_deviation,
 )
 
 DELTA = MomentSequence((1.0, 0.0, 0.0, 0.0, 0.0))
@@ -181,3 +185,27 @@ def test_moment_sequence_rejects_non_finite(values):
 def test_gaussian_moments_reject_non_finite(mean, var):
     with pytest.raises(DomainError, match="must be finite"):
         gaussian_moments(mean, var, 4)
+
+
+_MOMENTS = MomentSequence(VACUUM_MOMENTS[:5])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: quadrature_moment(vacuum_state(4), 0.0, 2.5),
+    lambda: quadrature_moment(vacuum_state(4), 0.0, "3"),
+    lambda: quadrature_matrix(0.0, 2.5),
+    lambda: quadrature_matrix(0.0, True),
+    lambda: commutator_block(0.5, 3.5),
+    lambda: weyl_relation_deviation(0.5, 0.5, 2.5),
+    lambda: gaussian_moments(0.0, 1.0, 2.5),
+    lambda: quadrature_moment_sequence(vacuum_state(4), 0.0, 2.5),
+    lambda: fit_gaussian_polynomial_density(_MOMENTS, 2.5),
+    lambda: fit_gaussian_polynomial_density(_MOMENTS, "2"),
+    lambda: sequential_demo(vacuum_state(4), 0.5, 0.1, 0.1, 2.5),
+    lambda: sequential_demo(vacuum_state(4), 0.5, 0.1, 0.1, True),
+], ids=["moment-order-float", "moment-order-str", "matrix-dim-float", "matrix-dim-bool",
+        "commutator-dim-float", "weyl-dim-float", "gaussian-k-max-float", "sequence-k-max-float",
+        "fit-degree-float", "fit-degree-str", "demo-k-max-float", "demo-k-max-bool"])
+def test_counts_must_be_integers(call):
+    with pytest.raises(DomainError, match="not an integer"):
+        call()

@@ -2,7 +2,8 @@
 
 Hypothesis draws the states, angles and points; every test is
 derandomized, keeps no example database, and runs at most 25 examples
-with dimensions up to 12, so the suite is reproducible and quick.  The
+with dimensions up to 12 (16 for the reconstruction against its
+per-band fit), so the suite is reproducible and quick.  The
 reconstruction round trip needs J >= 2 dim - 1 angles to separate the
 bands; the covariant density's mass 2 pi is read off its Hermite tensor.
 """
@@ -140,6 +141,17 @@ def test_reconstruction_round_trip(data):
     angles = data.draw(st.integers(2 * state.dim - 1, 2 * state.dim + 8))
     rebuilt = reconstruct_state(generate_dataset(state, angles), state.dim)
     assert np.linalg.norm(rebuilt.matrix - state.matrix) <= 1e-6
+
+
+@PROPERTY
+@given(st.data())
+def test_reconstruction_matches_per_band_complex_fit(per_band_fit, data):
+    state = data.draw(states(max_dim=16))
+    angles = data.draw(st.integers(2 * state.dim - 1, 2 * state.dim + 19))
+    edge, step = data.draw(st.sampled_from([8.0, 10.0])), data.draw(st.sampled_from([0.01, 0.02]))
+    dataset = generate_dataset(state, angles, (-edge, edge, step))
+    rebuilt = reconstruct_state(dataset, state.dim)
+    assert np.max(np.abs(rebuilt.matrix - per_band_fit(dataset, state.dim))) <= 2e-15
 
 
 @PROPERTY

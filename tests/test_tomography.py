@@ -449,21 +449,68 @@ def test_dataset_rows_match_long_double_sum(rng, random_pure):
 
 
 @pytest.mark.parametrize("dim,angles", [(6, 16), (12, 32), (16, 33)])
-def test_reconstruction_matches_per_band_complex_fit(dim, angles):
+def test_reconstruction_matches_per_band_complex_fit(dim, angles, per_band_fit):
     data = generate_dataset(_mixed(dim, 3), angles, _axis(dim))
-    basis = hermite_basis(dim - 1, data.xs)
-    rho = np.zeros((dim, dim), dtype=complex)
-    for d in range(dim):
-        band = np.exp(1j * d * data.thetas) @ data.values / data.angles
-        design = (basis[d:] * basis[: dim - d]).T
-        coeffs = np.linalg.lstsq(design, band, rcond=None)[0]
-        ns = np.arange(dim - d)
-        rho[ns + d, ns] = coeffs
-        rho[ns, ns + d] = coeffs.conj()
-    evals, evecs = np.linalg.eigh(0.5 * (rho + rho.conj().T))
-    evals = np.maximum(evals, 0.0)
-    want = (evecs * (evals / evals.sum())) @ evecs.conj().T
+    want = per_band_fit(data, dim)
     assert np.max(np.abs(reconstruct_state(data, dim).matrix - want)) <= 1e-15
+
+
+def test_reconstruction_plan_gives_the_cold_call_bit_for_bit(monkeypatch):
+    data = generate_dataset(_mixed(16, 5), 33)
+    tomography._band_plan.cache_clear()
+    cold = reconstruct_state(data, 16)
+    warm = reconstruct_state(data, 16)
+    assert tomography._band_plan.cache_info().hits == 1
+    monkeypatch.setattr(tomography, "_KEPT_BANDS", 0)          # the same factors, streamed
+    streamed = reconstruct_state(data, 16)
+    for other in (warm, streamed):
+        assert other.matrix.tobytes() == cold.matrix.tobytes()
+        assert other.meta == cold.meta
+
+
+def test_sigma_rule_is_kept_read_only():
+    sigma, weights = tomography._sigma_rule(96)
+    assert tomography._sigma_rule(96)[0] is sigma
+    fresh = tomography._sigma_rule.__wrapped__(96)
+    assert sigma.tobytes() == fresh[0].tobytes() and weights.tobytes() == fresh[1].tobytes()
+    assert not sigma.flags.writeable and not weights.flags.writeable
+
+
+def test_reconstruction_plan_is_read_only():
+    plan = tomography._band_plan((-8.0, 8.0, 0.5), 6)
+    assert len(plan) == 6
+    for qr, tau, svals, r_inverse in plan:
+        for part in (qr, tau, svals, r_inverse):
+            assert not part.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        plan[0][0][0, 0] = 0.0
+
+
+def test_reconstruction_beyond_the_plan_budget_is_streamed(per_band_fit):
+    # 1601 points keep a plan up to dim 17; dim 20 on 2601 points streams
+    tomography._band_plan.cache_clear()
+    data = generate_dataset(_mixed(20, 3), 40, _axis(20))
+    rebuilt = reconstruct_state(data, 20)
+    assert tomography._band_plan.cache_info().currsize == 0
+    assert np.max(np.abs(rebuilt.matrix - per_band_fit(data, 20))) <= 1e-15
+    reconstruct_state(generate_dataset(_mixed(17, 3), 33), 17)
+    assert tomography._band_plan.cache_info().currsize == 1
+
+
+def test_reconstruction_reports_the_worst_band_condition():
+    data = generate_dataset(_mixed(8, 3), 16, (-6.0, 6.0, 0.02))
+    basis = hermite_basis(7, data.xs)
+    want = max(np.linalg.cond((basis[d:] * basis[: 8 - d]).T) for d in range(8))
+    got = reconstruct_state(data, 8).meta["band_condition"]
+    assert isinstance(got, float)
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_reconstruction_refuses_an_axis_with_fewer_points_than_columns():
+    # 33 points for the 40 columns of band 0: the design has no full rank
+    data = generate_dataset(vacuum_state(40), 79, (-8.0, 8.0, 0.5))
+    with pytest.raises(ConditioningError, match="band 0"):
+        reconstruct_state(data, 40)
 
 
 @pytest.mark.parametrize("angles,axis", [(64, (-8.0, 8.0, 0.01)), (50, (-8.0, 8.0, 0.02))])
