@@ -1,9 +1,14 @@
-"""Geometric plumbing: interval sets and sampled grid functions.
+"""Geometric plumbing: interval sets, sampled grid functions and the
+argument rules.
 
 These are the small value types the numerical routines pass around.  All
 grids are uniform; an axis is described by (lo, hi, step) with the number
 of points inferred as round((hi - lo)/step) + 1, which keeps endpoints
 exact instead of accumulating floating-point drift.
+
+Two rules check every public argument, with DomainError: :func:`_count`
+each count (an integer in [lo, hi]; numpy integers pass, a bool does not)
+and :func:`_require_finite` each real (numbers, none NaN or infinite).
 """
 
 from __future__ import annotations
@@ -24,13 +29,17 @@ __all__ = [
 
 
 def _require_finite(label: str, values):
-    """Return values unchanged; DomainError if any entry is NaN or infinite.
-    The message names an array's count of such entries, not its values."""
+    """Return values unchanged; DomainError unless they are numbers (real or
+    complex) none of which is NaN or infinite.  The message names an array's
+    count of such entries, not its values."""
     if isinstance(values, (int, float)):          # math.isfinite is ~50x cheaper
         if not math.isfinite(values):
             raise DomainError(f"{label} must be finite, got {values}")
         return values
-    finite = np.isfinite(values)
+    try:
+        finite = np.isfinite(values)
+    except (TypeError, ValueError):
+        raise DomainError(f"{label} must be a real number, got {values!r}") from None
     if not finite.all():
         if finite.ndim == 0:
             raise DomainError(f"{label} must be finite, got {values}")
@@ -39,12 +48,14 @@ def _require_finite(label: str, values):
     return values
 
 
-def _count(label: str, n, hi: float = math.inf) -> int:
-    """n as an int; DomainError unless it is an integer in [0, hi].  Numpy
-    integers pass; a bool does not."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or not 0 <= n <= hi:
-        span = f"in [0, {hi}]" if hi < math.inf else ">= 0"
-        raise DomainError(f"{label} {n!r} is not an integer {span}")
+def _count(label: str, n, hi: float = math.inf, lo: int = 0) -> int:
+    """n as an int; DomainError unless it is an integer in [lo, hi].  Numpy
+    integers pass; a bool, a float (2.0 too) or a string does not."""
+    if type(n) is not int and (isinstance(n, bool) or not isinstance(n, (int, np.integer))):
+        raise DomainError(f"{label} {n!r} is not an integer")
+    if not lo <= n <= hi:
+        bound = f"exceeds {hi}" if n > hi else "is negative" if lo == 0 else f"is below {lo}"
+        raise DomainError(f"{label} {n} {bound}")
     return int(n)
 
 
@@ -84,8 +95,9 @@ def _pointwise(label: str, evaluate, *coords, block: int = 0):
 def uniform_axis(lo: float, hi: float, step: float) -> np.ndarray:
     """Return the uniform grid lo, lo+step, ..., hi (endpoint included).
 
-    DomainError unless lo < hi are finite and step is positive."""
-    if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo and step > 0):
+    DomainError unless lo < hi are finite real numbers and step is positive."""
+    if not (all(isinstance(v, numbers.Real) for v in (lo, hi, step))
+            and math.isfinite(lo) and math.isfinite(hi) and hi > lo and step > 0):
         raise DomainError(f"bad axis spec ({lo}, {hi}, {step})")
     n = round((hi - lo) / step)
     if n < 1 or abs(lo + n * step - hi) > 1e-9 * max(1.0, abs(hi)):
@@ -105,7 +117,10 @@ class IntervalSet:
     intervals: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        pieces = sorted((float(a), float(b)) for a, b in self.intervals)
+        try:
+            pieces = sorted((float(a), float(b)) for a, b in self.intervals)
+        except (TypeError, ValueError):
+            raise DomainError(f"intervals are (lo, hi) pairs of numbers, got {self.intervals!r}") from None
         if not pieces:
             raise DomainError("interval set must contain at least one interval")
         for a, b in pieces:

@@ -146,8 +146,7 @@ def _line_integrals(X: IntervalSet, n_max: int) -> np.ndarray:
 def overlap(X: IntervalSet, n: int, m: int) -> float:
     """Integral of h_n h_m over the interval set X; the (n, m) entry of
     :func:`overlap_matrix`."""
-    if n < 0 or m < 0:
-        raise DomainError("Fock indices must be nonnegative")
+    n, m = _count("Fock index", n, MAX_FUNCTION_DEGREE), _count("Fock index", m, MAX_FUNCTION_DEGREE)
     return float(overlap_matrix(X, max(n, m) + 1)[n, m])
 
 
@@ -159,8 +158,7 @@ def overlap_matrix(X: IntervalSet, dim: int) -> np.ndarray:
     and on it int_X h_n^2 = int_X h_(n-1)^2 - [h_n h_(n-1)]_X / sqrt(2n) from
     int_X h_0^2 = [erf]_X / 2.  Over the full line it is the identity.
     """
-    if dim < 1:
-        raise DomainError("dim must be positive")
+    dim = _count("dim", dim, MAX_FUNCTION_DEGREE + 1, lo=1)
     ends, signs = _ends(X)
     basis = hermite_basis(dim - 1, ends)
     n = np.arange(dim)
@@ -183,8 +181,9 @@ def overlap_matrix(X: IntervalSet, dim: int) -> np.ndarray:
 class TruncatedState:
     """Density matrix on the first ``dim`` number states.
 
-    Validated on construction: finite, Hermitian within 1e-12, unit trace
-    within 1e-12, eigenvalues above -1e-10.  ``leakage`` records norm lost to
+    Validated on construction: dim a count up to MAX_FUNCTION_DEGREE + 1, and
+    finite, Hermitian within 1e-12, unit trace within 1e-12, eigenvalues
+    above -1e-10.  ``leakage`` records norm lost to
     truncation by the constructor that produced the state; ``meta`` carries
     advisory notes (truncation warnings, reconstruction diagnostics).
     """
@@ -195,6 +194,8 @@ class TruncatedState:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", _count("dim", self.dim, MAX_FUNCTION_DEGREE + 1, lo=1))
+        _require_finite("leakage", self.leakage)
         mat = np.asarray(self.matrix, dtype=complex)
         if mat.shape != (self.dim, self.dim):
             raise StateValidationError(
@@ -236,8 +237,8 @@ def vacuum_state(dim: int) -> TruncatedState:
 
 
 def number_state(n: int, dim: int) -> TruncatedState:
-    if not 0 <= n < dim:
-        raise DomainError(f"number state {n} does not fit in dimension {dim}")
+    dim = _count("dim", dim, MAX_FUNCTION_DEGREE + 1, lo=1)
+    n = _count("Fock index", n, dim - 1)
     mat = np.zeros((dim, dim), dtype=complex)
     mat[n, n] = 1.0
     return TruncatedState(dim, mat)
@@ -250,7 +251,8 @@ def coherent_state(alpha: complex, dim: int) -> TruncatedState:
     c_0 = exp(-|alpha|^2 / 2); the lost tail mass is recorded as leakage.
     A NaN or infinite alpha raises DomainError.
     """
-    alpha = _require_finite("alpha", complex(alpha))
+    alpha = complex(_require_finite("alpha", alpha))
+    dim = _count("dim", dim, MAX_FUNCTION_DEGREE + 1, lo=1)
     size = math.hypot(alpha.real, alpha.imag)      # abs() raises past the largest double
     coeffs = np.empty(dim, dtype=complex)
     coeffs[0] = math.exp(-0.5 * size * size)
@@ -270,6 +272,7 @@ def squeezed_state(r: float, phi: float, dim: int) -> TruncatedState:
     """
     _require_finite("r", r)
     _require_finite("phi", phi)
+    dim = _count("dim", dim, MAX_FUNCTION_DEGREE + 1, lo=1)
     coeffs = np.zeros(dim, dtype=complex)
     th = math.tanh(r)
     amp = math.exp(-0.5 * abs(r)) * math.sqrt(2.0 / (1.0 + math.exp(-2.0 * abs(r))))   # sqrt(sech r)
@@ -285,6 +288,7 @@ def squeezed_state(r: float, phi: float, dim: int) -> TruncatedState:
 
 def pure_state(coeffs, dim: int) -> TruncatedState:
     """Normalized pure state from a coefficient vector (padded or cut to dim)."""
+    dim = _count("dim", dim, MAX_FUNCTION_DEGREE + 1, lo=1)
     vec = np.asarray(coeffs, dtype=complex).ravel()
     total = float(np.sum(np.abs(vec) ** 2))
     if total == 0.0:
@@ -350,9 +354,9 @@ def gaussian_pure_state(var_q: float, cov_qp: float, dim: int) -> TruncatedState
     c = cov_qp; purity fixes the determinant at 1/4.  Realized as squeezed
     vacuum rotated so that its principal axes match.
     """
-    if var_q <= 0:
+    if _require_finite("var_q", var_q) <= 0:
         raise DomainError("position variance must be positive")
-    v, c = float(var_q), float(cov_qp)
+    v, c = float(var_q), float(_require_finite("cov_qp", cov_qp))
     sigma = np.array([[v, c], [c, (0.25 + c * c) / v]])
     evals, evecs = np.linalg.eigh(sigma)
     r = -0.5 * math.log(2.0 * evals[0])
@@ -401,11 +405,11 @@ def load_state(path) -> TruncatedState:
     try:
         with open(path) as fh:
             payload = json.load(fh)
-        dim = int(payload["dim"])
+        dim = _count("dim", payload["dim"], MAX_FUNCTION_DEGREE + 1, lo=1)
         entries = payload["matrix"]
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:    # DomainError is a ValueError
         raise StateValidationError(f"unreadable state file {path}: {exc}") from exc
-    if dim < 1 or len(entries) != dim * dim:
+    if len(entries) != dim * dim:
         raise StateValidationError(
             f"state file {path}: need dim^2 = {dim * dim} entries, got {len(entries)}"
         )

@@ -11,7 +11,6 @@ even pins down the full density, which is a Gaussian times a polynomial.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +18,7 @@ import numpy as np
 from .domains import _count, _require_finite
 from .errors import DomainError
 from .fock import TruncatedState
-from .quadrature import quadrature_moment
+from .quadrature import MAX_MOMENT_ORDER, _moment_walk
 
 __all__ = [
     "MomentSequence",
@@ -47,7 +46,7 @@ class MomentSequence:
     values: tuple
 
     def __post_init__(self):
-        vals = _require_finite("moments", tuple(float(v) for v in self.values))
+        vals = tuple(float(v) for v in _require_finite("moments", tuple(self.values)))
         object.__setattr__(self, "values", vals)
         if not vals or abs(vals[0] - 1.0) > 1e-12:
             raise DomainError("a moment sequence must start with values[0] = 1")
@@ -69,19 +68,12 @@ class MomentSequence:
         return len(self.values)
 
 
-def _require_order(seq: MomentSequence, k_max: int, name: str) -> None:
-    if seq.k_max < k_max:
-        raise DomainError(
-            f"{name} covers orders up to {seq.k_max}, need {k_max}"
-        )
-
-
 def convolved_moments(mu: MomentSequence, p: MomentSequence,
                       k_max: int) -> MomentSequence:
     """Moments of the convolution mu * p:
-    s[k] = sum_n C(k,n) mu[k-n] p[n].  Symmetric in its two arguments."""
-    _require_order(mu, k_max, "mu")
-    _require_order(p, k_max, "p")
+    s[k] = sum_n C(k,n) mu[k-n] p[n].  Symmetric in its two arguments; k_max
+    may not exceed the order of either."""
+    k_max = _count("k_max", k_max, min(mu.k_max, p.k_max))
     out = [
         sum(math.comb(k, n) * mu[k - n] * p[n] for n in range(k + 1))
         for k in range(k_max + 1)
@@ -110,12 +102,12 @@ def invert_moments(s: MomentSequence, mu: MomentSequence) -> MomentSequence:
 
 def gaussian_moments(mean: float, var: float, k_max: int) -> MomentSequence:
     """Raw moments of N(mean, var): binomial expansion around the mean with
-    central moments (2j-1)!! var^j.  DomainError unless both are finite
-    and var >= 0."""
+    central moments (2j-1)!! var^j.  DomainError unless both are finite,
+    var >= 0 and k_max is a count up to MAX_MOMENT_ORDER."""
     _require_finite("mean", mean)
     if _require_finite("variance", var) < 0:
         raise DomainError("variance must be nonnegative")
-    k_max = _count("k_max", k_max)
+    k_max = _count("k_max", k_max, MAX_MOMENT_ORDER)
     central = [0.0] * (k_max + 1)
     for j in range(0, k_max + 1, 2):
         central[j] = math.prod(range(1, j, 2)) * var ** (j // 2)
@@ -128,9 +120,9 @@ def gaussian_moments(mean: float, var: float, k_max: int) -> MomentSequence:
 
 def quadrature_moment_sequence(state: TruncatedState, theta: float,
                                k_max: int) -> MomentSequence:
-    """Moments of the quadrature distribution of ``state`` at angle theta."""
-    vals = [quadrature_moment(state, theta, k) for k in range(_count("k_max", k_max) + 1)]
-    return MomentSequence(tuple(vals))
+    """Moments of the quadrature distribution of ``state`` at angle theta,
+    every order from one walk (see quadrature._moment_walk)."""
+    return MomentSequence(tuple(_moment_walk(state, theta, _count("k_max", k_max, MAX_MOMENT_ORDER))))
 
 
 def fit_gaussian_polynomial_density(moments: MomentSequence, degree: int):
@@ -141,14 +133,10 @@ def fit_gaussian_polynomial_density(moments: MomentSequence, degree: int):
     integral x^(k+j) exp(-x^2) dx = Gamma((k+j+1)/2) for even k+j.  Returns
     a callable density; a finite-Fock quadrature distribution with support
     on h_0..h_n is recovered exactly using degree 2 n.  The monomial system
-    loses digits fast with degree, so a degree above MAX_DEMO_ORDER, or
-    a negative one, raises DomainError.
+    loses digits fast with degree, so a degree above MAX_DEMO_ORDER (or
+    above the order of the moments), or a negative one, raises DomainError.
     """
-    if isinstance(degree, numbers.Integral) and degree < 0:
-        raise DomainError(f"degree {degree} is negative")
-    if _count("degree", degree) > MAX_DEMO_ORDER:
-        raise DomainError(f"degree {degree} exceeds {MAX_DEMO_ORDER}; the monomial fit loses precision")
-    _require_order(moments, degree, "moments")
+    degree = _count("degree", degree, min(MAX_DEMO_ORDER, moments.k_max))
     idx = np.arange(degree + 1)
     power = idx[:, None] + idx[None, :]
     gram = np.where(power % 2 == 0,
@@ -172,13 +160,10 @@ def sequential_demo(state: TruncatedState, theta: float, mu_var: float,
     second those of (gaussian nu) * rho^(Q_theta).  Both smeared sequences
     are deconvolved and compared against the direct quadrature moments.
     Returns a JSON-compatible report with the three sequences per channel
-    and the worst relative error (denominator max(1, |truth|)).
+    and the worst relative error (denominator max(1, |truth|)).  Orders above
+    MAX_DEMO_ORDER lose precision to binomial cancellation and are refused.
     """
-    if _count("k_max", k_max) > MAX_DEMO_ORDER:
-        raise DomainError(
-            f"k_max {k_max} exceeds {MAX_DEMO_ORDER}; higher orders lose "
-            "precision to binomial cancellation"
-        )
+    k_max = _count("k_max", k_max, MAX_DEMO_ORDER)
     report: dict = {"theta": theta, "mu_var": mu_var, "nu_var": nu_var,
                     "k_max": k_max, "channels": {}}
     worst = 0.0

@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .domains import IntervalSet, _phase_point, _pointwise
+from .domains import IntervalSet, _count, _phase_point, _pointwise, _require_finite
 from .errors import DomainError
 from .fock import TruncatedState, _line_integrals, _rotated, hermite_basis
 # quadrature_density stays importable from here: the benchmark's tracer test reads it
@@ -56,9 +56,8 @@ def displacement_matrix(pt, dim: int) -> np.ndarray:
     <h_(n+d)|W|h_n> = a^d e^(-x/2) / sqrt(d!) g_n, where g_n = sqrt(n! d!/(n+d)!)
     L_n^(d)(x) runs g_{n+1} = [(2n+1+d-x) g_n - sqrt(n(n+d)) g_{n-1}] / sqrt((n+1)(n+1+d))
     over n with every diagonal d at once; W^* = W(-q,-p) gives the upper triangle."""
-    q, p = _phase_point(pt)
-    if dim < 1 or dim > MAX_DISPLACEMENT_DIM:
-        raise DomainError(f"dim {dim} outside [1, {MAX_DISPLACEMENT_DIM}]")
+    q, p = _require_finite("point", _phase_point(pt))
+    dim = _count("dim", dim, MAX_DISPLACEMENT_DIM, lo=1)
     if not q * q + p * p <= MAX_RADIUS_SQ:
         raise DomainError(f"phase point ({q}, {p}) outside q^2+p^2 <= {MAX_RADIUS_SQ}")
     alpha = complex(q, p) / math.sqrt(2.0)
@@ -207,7 +206,7 @@ def _marginal_coeffs(state: TruncatedState, kernel: TruncatedState, theta: float
     the state at theta and of the kernel at theta - pi are vectors p and k by
     h_m(x) h_n(x) = sum_a B^(m+n)[m, a] h_a(sqrt(2) x) h_(m+n-a)(0), and
     int h_a(sqrt(2) x) h_c(sqrt(2) (t - x)) dx = (1/2) sum_e B^(a+c)[a, e] I_(a+c-e) h_e(t)."""
-    rho, kap = _trimmed(state), _trimmed(kernel)
+    theta, rho, kap = _require_finite("theta", theta), _trimmed(state), _trimmed(kernel)
     zeros, masses = _line_masses(2 * (len(rho) + len(kap)) - 4)
     p = _band_table(_rotated(rho, -theta).real[None])[0] @ zeros[: 2 * len(rho) - 1]
     k = _band_table(_rotated(kap, math.pi - theta).real[None])[0] @ zeros[: 2 * len(kap) - 1]

@@ -20,7 +20,7 @@ from scipy.linalg import expm
 
 from .domains import IntervalSet, _count, _pointwise, _require_finite
 from .errors import DomainError
-from .fock import TruncatedState, _rotated, hermite_basis, overlap_matrix
+from .fock import MAX_FUNCTION_DEGREE, TruncatedState, _rotated, hermite_basis, overlap_matrix
 
 __all__ = [
     "quadrature_matrix",
@@ -44,8 +44,7 @@ def quadrature_matrix(theta: float, dim: int) -> np.ndarray:
     Off-diagonal entries: (Q_theta)_{n,n+1} = exp(-i theta) sqrt((n+1)/2)
     and the Hermitian mirror below the diagonal.
     """
-    if _count("dim", dim) < 1:
-        raise DomainError("dim must be positive")
+    dim = _count("dim", dim, MAX_FUNCTION_DEGREE + 1, lo=1)
     off = np.sqrt(np.arange(1, dim) / 2.0)
     mat = np.zeros((dim, dim), dtype=complex)
     upper = off * np.exp(-1j * _require_finite("theta", theta))
@@ -61,7 +60,7 @@ def quadrature_density(state: TruncatedState, theta: float, x):
     nonnegative up to rounding for a valid state.  The basis is real, so
     only the real part of the rotated matrix counts.
     """
-    rho = _rotated(state.matrix, -theta).real
+    rho = _rotated(state.matrix, -_require_finite("theta", theta)).real
 
     def density(xs):
         basis = hermite_basis(state.dim - 1, xs)
@@ -71,25 +70,30 @@ def quadrature_density(state: TruncatedState, theta: float, x):
 
 def quadrature_probability(state: TruncatedState, theta: float, X: IntervalSet) -> float:
     """Probability that Q_theta falls in the interval set X."""
-    rho = _rotated(state.matrix, -theta)
+    rho = _rotated(state.matrix, -_require_finite("theta", theta))
     val = float(np.sum(rho.real * overlap_matrix(X, state.dim)))
     return min(1.0, max(0.0, val))
 
 
-def quadrature_moment(state: TruncatedState, theta: float, k: int) -> float:
-    """k-th moment of Q_theta, exact despite truncation.
+def _moment_walk(state: TruncatedState, theta: float, k_max: int) -> list[float]:
+    """s_k = tr[rho Q_theta^k] for k <= k_max, exact despite truncation: Q_theta
+    is tridiagonal, so Y_k = Q_theta Y_(k-1) from Y_0 = rho, applied as its two
+    off-diagonals, reaches only the levels below dim + k, where no path from the
+    state meets the truncation; s_k = tr Y_k[:dim]."""
+    dim = state.dim
+    upper = np.sqrt(np.arange(1, dim + k_max) / 2.0)[:, None] * np.exp(-1j * _require_finite("theta", theta))
+    walk, moments = state.matrix, [1.0]
+    for rows in range(dim + 1, dim + k_max + 1):
+        prev, walk = walk, np.zeros((rows, dim), dtype=complex)
+        walk[: rows - 2] = upper[: rows - 2] * prev[1:]
+        walk[1:] += upper[: rows - 1].conj() * prev
+        moments.append(float(np.trace(walk[:dim]).real))
+    return moments
 
-    Q_theta is tridiagonal, so its k-th power connects level n only to
-    levels within distance k; computing on a basis enlarged by k keeps
-    every path inside the truncation and removes the boundary bias.
-    """
-    if _count("moment order", k, MAX_MOMENT_ORDER) == 0:
-        return 1.0
-    big = state.dim + k
-    q_th = quadrature_matrix(theta, big)
-    power = np.linalg.matrix_power(q_th, k)
-    block = power[: state.dim, : state.dim]
-    return float(np.sum(state.matrix * block.T).real)
+
+def quadrature_moment(state: TruncatedState, theta: float, k: int) -> float:
+    """k-th moment of Q_theta, exact despite truncation (see _moment_walk)."""
+    return _moment_walk(state, theta, _count("moment order", k, MAX_MOMENT_ORDER))[-1]
 
 
 def commutator_block(theta: float, dim: int) -> np.ndarray:
@@ -98,8 +102,7 @@ def commutator_block(theta: float, dim: int) -> np.ndarray:
     The truncation corrupts only entries touching the highest level, so
     inside this block the commutator equals i sin(theta) times identity.
     """
-    if _count("dim", dim) < 3:
-        raise DomainError("need dim >= 3 for a nonempty commutator block")
+    dim = _count("dim", dim, MAX_FUNCTION_DEGREE + 1, lo=3)
     q = quadrature_matrix(0.0, dim)
     q_th = quadrature_matrix(theta, dim)
     comm = q @ q_th - q_th @ q
@@ -108,12 +111,8 @@ def commutator_block(theta: float, dim: int) -> np.ndarray:
 
 def uncertainty_product(state: TruncatedState, theta: float) -> float:
     """Product Var(Q) Var(Q_theta); bounded below by sin^2(theta)/4."""
-    var = []
-    for angle in (0.0, theta):
-        m1 = quadrature_moment(state, angle, 1)
-        m2 = quadrature_moment(state, angle, 2)
-        var.append(m2 - m1 * m1)
-    return var[0] * var[1]
+    (_, q1, q2), (_, t1, t2) = (_moment_walk(state, angle, 2) for angle in (0.0, theta))
+    return (q2 - q1 * q1) * (t2 - t1 * t1)
 
 
 def trace_pair(X: IntervalSet, Y: IntervalSet, theta: float, dim: int) -> float:
@@ -125,8 +124,7 @@ def trace_pair(X: IntervalSet, Y: IntervalSet, theta: float, dim: int) -> float:
     """
     if not (X.is_bounded and Y.is_bounded):
         raise DomainError("trace_pair needs bounded interval sets")
-    if dim < 1 or dim > MAX_TRACE_DIM:
-        raise DomainError(f"dim {dim} outside [1, {MAX_TRACE_DIM}]")
+    dim = _count("dim", dim, MAX_TRACE_DIM, lo=1)
     if abs(math.sin(_require_finite("theta", theta))) < 1e-12:
         raise DomainError("angles with sin(theta) = 0 give a degenerate pair")
     # Q_theta(Y) is Q(Y) rotated by theta; in the trace that moves onto Q(X) as -theta
@@ -144,6 +142,7 @@ def complementarity_summary(dim: int, theta: float) -> dict:
     """
     from .fock import gaussian_pure_state
 
+    dim = _count("dim", dim, MAX_TRACE_DIM, lo=3)
     unit = IntervalSet.of((0.0, 1.0))
     estimate = trace_pair(unit, unit, theta, dim)
     limit = 1.0 / (2.0 * math.pi * abs(math.sin(theta)))
@@ -175,8 +174,7 @@ def weyl_relation_deviation(q: float, p: float, dim: int) -> float:
     dim/2 block, where boundary effects have died off.  NaN or infinite
     q or p raise DomainError.
     """
-    if _count("dim", dim) < 2:
-        raise DomainError("need dim >= 2")
+    dim = _count("dim", dim, MAX_FUNCTION_DEGREE + 1, lo=2)
     _require_finite("q", q)
     _require_finite("p", p)
     q_mat = quadrature_matrix(0.0, dim)

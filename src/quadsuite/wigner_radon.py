@@ -60,7 +60,7 @@ def wigner(state: TruncatedState, pt):
 
 def _tensor_grid(coeffs: np.ndarray, scale: float, extent: float, step: float) -> GridFunction:
     """sum_ab coeffs[a, b] h_a(scale q) h_b(scale p) on the square |q|, |p| <= extent."""
-    ax = (-extent, extent, step)
+    ax = (-_require_finite("extent", extent), extent, step)
     basis = hermite_basis(len(coeffs) - 1, scale * uniform_axis(*ax))
     return GridFunction((ax, ax), basis.T @ coeffs @ basis)
 
@@ -135,25 +135,24 @@ def _radon_gap(grid: GridFunction, theta: float, density) -> float:
     return float(np.max(np.abs(radon(grid, theta, xs) - density(xs))))
 
 
-def verify_wigner_radon(state: TruncatedState, theta: float, *, grid: GridFunction | None = None,
-                        extent: float = DEFAULT_EXTENT, step: float = DEFAULT_STEP) -> float:
+def verify_wigner_radon(state: TruncatedState, theta: float, *, grid: GridFunction | None = None) -> float:
     """Max-abs gap between the Radon slice of the Wigner function and the
     quadrature density at angle theta, on |x| <= 6 at the grid step.
 
     Pass a precomputed ``grid`` to amortize the Wigner tabulation across
-    angles.
+    angles; without one, :func:`wigner_grid` tabulates at its defaults.
     """
     if grid is None:
-        grid = wigner_grid(state, extent, step)
+        grid = wigner_grid(state)
     return _radon_gap(grid, theta, lambda xs: quadrature_density(state, theta, xs))
 
 
 def verify_gk_radon(state: TruncatedState, kernel: TruncatedState, theta: float, *,
-                    grid: GridFunction | None = None, extent: float = DEFAULT_EXTENT,
-                    step: float = DEFAULT_STEP) -> float:
+                    grid: GridFunction | None = None) -> float:
     """Max-abs gap between the Radon slice of the covariant density and
-    2 pi times the rotated marginal (the smeared quadrature density)."""
+    2 pi times the rotated marginal (the smeared quadrature density); the
+    grid defaults to :func:`gk_grid` at its defaults."""
     if grid is None:
-        grid = gk_grid(state, kernel, extent, step)
+        grid = gk_grid(state, kernel)
     return _radon_gap(grid, theta,
                       lambda xs: 2.0 * math.pi * rotated_marginal_density(state, kernel, theta, xs))

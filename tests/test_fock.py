@@ -304,6 +304,20 @@ def test_load_state_refuses_nan_entry(tmp_path):
         load_state(path)
 
 
+HALF_MIXED = "[[0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]]"
+
+
+@pytest.mark.parametrize("dim, matrix", [("2.7", HALF_MIXED), ("true", "[[1.0, 0.0]]"), ('"2"', HALF_MIXED),
+                                         ("0", "[]"), ("2002", HALF_MIXED)],
+                         ids=["float", "bool", "string", "zero", "above-2001"])
+def test_load_state_refuses_a_dim_that_is_not_a_count(tmp_path, dim, matrix):
+    # 2.7, true and "2" used to load as dims 2, 1 and 2, each with a valid matrix of that dim
+    path = tmp_path / "dim.json"
+    path.write_text(f'{{"dim": {dim}, "matrix": {matrix}}}')
+    with pytest.raises(StateValidationError, match="dim"):
+        load_state(path)
+
+
 @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
 def test_rotate_state_rejects_non_finite_angle(theta):
     with pytest.raises(DomainError):

@@ -16,6 +16,7 @@ from quadsuite import (
     quadrature_density,
     quadrature_matrix,
     quadrature_moment,
+    quadrature_moment_sequence,
     quadrature_probability,
     rotate_state,
     trace_pair,
@@ -94,6 +95,33 @@ def test_moment_against_integral_oracle(rng, random_pure):
             limit=300,
         )
         assert abs(quadrature_moment(st, theta, k) - ref) < 1e-9
+
+
+def _moment_by_matrix_power(state, theta, k, absolute=False):
+    """tr[rho Q_theta^k] from a dense power of Q_theta on dim + k levels, one
+    order at a time; with absolute=True, tr[|rho| |Q_theta|^k] (entrywise
+    moduli), the size of the terms the moment sums."""
+    if k == 0:
+        return 1.0
+    q_th, rho = quadrature_matrix(theta, state.dim + k), state.matrix
+    if absolute:
+        q_th, rho = np.abs(q_th), np.abs(rho)
+    block = np.linalg.matrix_power(q_th, k)[: state.dim, : state.dim]
+    return float(np.sum(rho * block.T).real)
+
+
+def test_moment_walk_matches_dense_powers(rng, random_mixed):
+    # every order comes from one walk Y_k = Q_theta Y_(k-1); odd moments of mixed
+    # states cancel, so the gap is held relative to the size of their terms
+    cases = [(random_mixed(rng, int(rng.integers(1, 25))), float(rng.uniform(-math.pi, math.pi)), 16)
+             for _ in range(40)]
+    cases.append((random_mixed(rng, 400), 0.7, 40))
+    for state, theta, k_max in cases:
+        walk = quadrature_moment_sequence(state, theta, k_max).values
+        for k in (range(k_max + 1) if state.dim < 400 else (1, 2, 39, 40)):
+            gap = abs(walk[k] - _moment_by_matrix_power(state, theta, k))
+            assert gap <= 1e-13 * _moment_by_matrix_power(state, theta, k, absolute=True), (state.dim, k)
+        assert quadrature_moment(state, theta, k_max) == walk[k_max]
 
 
 def test_number_state_moments():

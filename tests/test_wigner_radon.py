@@ -221,14 +221,14 @@ def test_radon_requires_decayed_grid():
 
 
 def test_verify_wigner_radon_small():
-    report = verify_wigner_radon(vacuum_state(8), 0.6, extent=6.0, step=0.02)
+    state = vacuum_state(8)
+    report = verify_wigner_radon(state, 0.6, grid=wigner_grid(state, 6.0, 0.02))
     assert report < 1e-7
 
 
 def test_verify_gk_radon_small():
-    report = verify_gk_radon(
-        vacuum_state(10), number_state(1, 10), 1.0, extent=9.0, step=0.05
-    )
+    st, kern = vacuum_state(10), number_state(1, 10)
+    report = verify_gk_radon(st, kern, 1.0, grid=gk_grid(st, kern, 9.0, 0.05))
     assert report < 1e-4
 
 
