@@ -8,7 +8,8 @@ exact instead of accumulating floating-point drift.
 
 Two rules check every public argument, with DomainError: :func:`_count`
 each count (an integer in [lo, hi]; numpy integers pass, a bool does not)
-and :func:`_require_finite` each real (numbers, none NaN or infinite).
+and :func:`_require_finite` each real (numbers, none NaN or infinite);
+points and interval ends first need a bool, integer or float dtype.
 """
 
 from __future__ import annotations
@@ -70,16 +71,25 @@ def _phase_point(pt):
     return q, p
 
 
+def _real_array(label: str, values) -> np.ndarray:
+    """values as a float array, not copied if they are one; DomainError unless
+    their dtype is bool, integer or float (so "3" is refused), finite or not."""
+    try:
+        array = np.asarray(values)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{label} must be real numbers: {exc}") from None
+    if array.dtype.kind not in "biuf":
+        raise DomainError(f"{label} must be real numbers, got {array.dtype} entries")
+    return array.astype(float, copy=False)
+
+
 def _pointwise(label: str, evaluate, *coords, block: int = 0):
     """The point rule of every pointwise function: broadcast the coordinates,
     DomainError on an entry that is not a real number or is NaN or infinite,
     evaluate(*flat) on ``block`` points at a time (0: all at once; an empty
     input is never evaluated), and a float for scalar or 0-d input, else an
     array of the broadcast shape."""
-    try:
-        arrays = [np.asarray(c, dtype=float) for c in coords]
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"{label} must be real numbers: {exc}") from None
+    arrays = [_real_array(label, c) for c in coords]
     arrays = np.broadcast_arrays(*arrays) if len(arrays) > 1 else arrays
     shape, flat = arrays[0].shape, [_require_finite(label, a.ravel()) for a in arrays]
     size = flat[0].size
@@ -117,12 +127,10 @@ class IntervalSet:
     intervals: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        try:
-            pieces = sorted((float(a), float(b)) for a, b in self.intervals)
-        except (TypeError, ValueError):
-            raise DomainError(f"intervals are (lo, hi) pairs of numbers, got {self.intervals!r}") from None
-        if not pieces:
-            raise DomainError("interval set must contain at least one interval")
+        ends = _real_array("interval ends", self.intervals)
+        if ends.ndim != 2 or ends.shape[1] != 2 or not ends.size:
+            raise DomainError(f"an interval set is one or more (lo, hi) pairs, got {self.intervals!r}")
+        pieces = sorted(map(tuple, ends.tolist()))
         for a, b in pieces:
             if math.isnan(a) or math.isnan(b) or not a < b:
                 raise DomainError(f"invalid interval ({a}, {b})")

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import STATE_GRAMMAR
-from .domains import IntervalSet, _count, _pointwise, _require_finite
+from .domains import IntervalSet, _count, _pointwise, _real_array, _require_finite
 from .errors import DomainError, StateValidationError
 
 __all__ = [
@@ -69,11 +69,11 @@ def hermite_basis(n_max: int, x) -> np.ndarray:
     underflow gracefully to zero.  Points beyond |x| = 37, where the seed
     h_0 nears the bottom of double range, are redone by :func:`_far_basis`;
     beyond |x| = 126.5 every value is exactly zero.  A degree that is not
-    an integer in [0, MAX_FUNCTION_DEGREE], NaN or infinite points, or a
-    2-D x raise DomainError.
+    an integer in [0, MAX_FUNCTION_DEGREE], points that are not real (a
+    string among them), NaN or infinite, or a 2-D x raise DomainError.
     """
     n_max = _count("degree", n_max, MAX_FUNCTION_DEGREE)
-    xa = _require_finite("x", np.atleast_1d(np.asarray(x, dtype=float)))
+    xa = _require_finite("x", np.atleast_1d(_real_array("x", x)))
     if xa.ndim > 1:
         raise DomainError(f"hermite_basis takes a 1-D array of points, got shape {xa.shape}")
     near = np.abs(xa) < _ZERO_BEYOND

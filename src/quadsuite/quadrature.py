@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import expm
 
 from .domains import IntervalSet, _count, _pointwise, _require_finite
 from .errors import DomainError
@@ -177,6 +176,7 @@ def weyl_relation_deviation(q: float, p: float, dim: int) -> float:
     dim = _count("dim", dim, MAX_FUNCTION_DEGREE + 1, lo=2)
     _require_finite("q", q)
     _require_finite("p", p)
+    from scipy.linalg import expm
     q_mat = quadrature_matrix(0.0, dim)
     p_mat = quadrature_matrix(math.pi / 2.0, dim)
     shift_q, shift_p = expm(-1j * q * p_mat), expm(1j * p * q_mat)

@@ -15,8 +15,8 @@ Imaging 1 (1982) 192).  Of the two grid axes, u is the one whose
 coefficient, cos theta for q or sin theta for p, is the larger in modulus,
 and v is the other.  Each grid row at fixed v then meets the line at
 exactly one u, where a 1D cubic B-spline along u reads the row from four
-coefficients.  The coefficients come from one tridiagonal solve per call
-along u, and the rows sum with weight h_v over that larger modulus.
+coefficients.  These come from one in-place LDL^T solve per call of the
+zero-padded rows, and the rows sum with weight h_v over that larger modulus.
 Every row is walked, so any uniform grid is covered: off-centre,
 rectangular, or with different steps on its two axes.  Linear
 interpolation carries an O(step^2) integrated bias (about 4e-5 at step
@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .domains import GridFunction, _phase_point, _pointwise, _require_finite, uniform_axis
 from .fock import TruncatedState, hermite_basis
@@ -84,14 +83,14 @@ def radon(grid: GridFunction, theta: float, t):
     Of (cos theta, sin theta), a is the entry of larger modulus and b the
     other; u is the axis that a multiplies (q for cos theta, p for
     sin theta) and v the other axis.  The grid row at v meets the line at
-    u = (t - v b) / a.  That point is read with a cubic B-spline
-    along u, whose coefficients solve tridiag(1, 4, 1) c = 6 f on each row,
-    and the rows sum with weight h_v / |a|.  Beyond the grid the
-    coefficients are zero, so samples there count as zero; the boundary
-    decay check at BOUNDARY_TOL bounds the spline's tail within two steps
-    of the edge.  Angles are reduced modulo 2 pi first, so the transform is
-    exactly periodic.  A NaN or infinite angle, line offset or grid sample
-    raises DomainError.
+    u = (t - v b) / a.  That point is read with a cubic B-spline along u,
+    whose coefficients solve tridiag(1, 4, 1) c = 6 f on each row (all rows
+    in one in-place LDL^T solve of the zero-padded system), and the rows sum
+    with weight h_v / |a|.  Beyond the grid the coefficients are zero, so
+    samples there count as zero; the boundary decay check at BOUNDARY_TOL
+    bounds the spline's tail within two steps of the edge.  Angles are
+    reduced modulo 2 pi first, so the transform is exactly periodic.  A NaN
+    or infinite angle, line offset or grid sample raises DomainError.
     """
     grid.require_decayed(BOUNDARY_TOL)                      # refuses non-finite samples too
     theta = math.remainder(_require_finite("theta", theta), 2.0 * math.pi)
@@ -101,29 +100,48 @@ def radon(grid: GridFunction, theta: float, t):
         a, b, u0, hu, v0, hv, samples = c, s, q0, hq, p0, hp, grid.values
     else:
         a, b, u0, hu, v0, hv, samples = s, c, p0, hp, q0, hq, grid.values.T
+    from scipy.linalg import lapack
     nu, nv = samples.shape                                  # samples[u, v]
-    # column-major, so that the banded solve overwrites it in place
-    rhs = np.multiply(6.0, samples, order="F")
-    bands = np.repeat([[1.0], [4.0], [1.0]], nu, axis=1)
-    # row v of coeffs holds its nu coefficients between three zeros and four
+    # row v of coeffs holds its nu coefficients between three zeros and four:
+    # one LDL^T solve (dpttrf + dpttrs) of the padded system, whose pad rows are
+    # identity rows that solve to exact zeros, overwrites the F-ordered coeffs.T
     coeffs = np.zeros((nv, nu + 7))
-    coeffs[:, 3:-4] = solve_banded((1, 1), bands, rhs, overwrite_b=True, check_finite=False).T
+    np.multiply(6.0, samples.T, out=coeffs[:, 3 : nu + 3])
+    diag = np.pad(np.full(nu, 4.0), (3, 4), constant_values=1.0)
+    lapack.dptsv(diag, np.pad(np.ones(nu - 1), (3, 4)), coeffs.T, overwrite_b=True)
     flat = coeffs.ravel()
     starts = np.arange(nv) * (nu + 7)
     # x = u index of the crossing + 2 is the position of the first of its four
     # taps in a coefficient row; clipped to [0, nu + 3], a crossing two steps
-    # or more beyond the grid reads only zeros
+    # or more beyond the grid reads only zeros.  f holds x, then its fraction
     shift = (v0 + hv * np.arange(nv)) * (b / (a * hu)) + u0 / hu - 2.0
 
     def slices(ts):
-        x = np.clip(ts[:, None] / (a * hu) - shift, 0.0, nu + 3.0)
-        first = x.astype(np.intp)
-        f = x - first
-        g = 1.0 - f
-        f3 = f * f * f
-        w0, w1 = g * g * g, 4.0 - 6.0 * f * f + 3.0 * f3       # six times the B-spline weights
-        taps = first + starts
-        line = w0 * flat[taps] + w1 * flat[taps + 1] + (6.0 - w0 - w1 - f3) * flat[taps + 2] + f3 * flat[taps + 3]
+        f = np.subtract.outer(ts / (a * hu), shift)
+        np.clip(f, 0.0, nu + 3.0, out=f)
+        taps = f.astype(np.intp)
+        f -= taps
+        f3 = f * f
+        f3 *= f
+        w0 = 1.0 - f                                        # six times the B-spline weights, in place:
+        w1 = w0 * w0
+        w0 *= w1                                            # (1 - f)^3
+        np.multiply(6.0, f, out=w1)
+        w1 *= f
+        np.subtract(4.0, w1, out=w1)
+        np.multiply(3.0, f3, out=f)
+        w1 += f                                             # 4 - 6 f^2 + 3 f^3
+        np.subtract(6.0, w0, out=f)
+        f -= w1
+        f -= f3                                             # 6 - w0 - w1 - f^3
+        taps += starts
+        line = flat[taps]
+        line *= w0
+        for w in (w1, f, f3):
+            taps += 1
+            tap = flat[taps]
+            tap *= w
+            line += tap
         return line.sum(axis=1) * (hv / (6.0 * abs(a)))
     return _pointwise("t", slices, t, block=16)
 

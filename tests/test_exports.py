@@ -26,30 +26,52 @@ def test_export_table_matches_module_all():
         assert names == getattr(mod, "__all__", names), module
 
 
-def test_radon_and_cli_leave_scipy_ndimage_unloaded():
-    # Radon slices take their spline from one tridiagonal solve, not from scipy.ndimage
+def _fresh_python(code):
+    """Standard output of code run in a new interpreter that imports quadsuite from this tree."""
     src = str(Path(quadsuite.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_radon_and_cli_leave_scipy_ndimage_unloaded():
+    # Radon slices take their spline from one tridiagonal solve, not from scipy.ndimage
     code = ("import sys\n"
             "import quadsuite, quadsuite.wigner_radon, quadsuite.cli\n"
             "quadsuite.radon(quadsuite.wigner_grid(quadsuite.vacuum_state(2), 6.0, 0.5), 0.3, 0.0)\n"
             "print('scipy.ndimage' in sys.modules)\n")
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert _fresh_python(code).strip() == "False"
+
+
+def test_cli_commands_that_need_no_scipy_load_none(tmp_path):
+    # scipy.linalg is imported inside the calls that use it, so these five
+    # README commands load no scipy module at all
+    commands = [
+        ["quad-density", "--state", "vacuum", "--dim", "32", "--theta", "0", "--grid=-4:4:0.01"],
+        ["wigner", "--state", "squeezed:0.6,0.3", "--dim", "60", "--grid=-5:5:0.05"],
+        ["gk-density", "--state", "coherent:1.0,0.5", "--kernel", "number:1", "--dim", "32", "--grid=-6:6:0.1"],
+        ["strip-prob", "--state", "vacuum", "--kernel", "vacuum", "--dim", "16", "--theta", "1.0",
+         "--intervals", "0,1"],
+        ["moments-demo", "--state", "number:1", "--dim", "16", "--mu-var", "0.4", "--nu-var", "0.2"],
+    ]
+    argvs = [argv + ["--output", str(tmp_path / f"{argv[0]}.out")] for argv in commands]
+    code = ("import sys\n"
+            "import quadsuite.cli\n"
+            f"print([quadsuite.cli.main(argv) for argv in {argvs!r}])\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    out = _fresh_python(code)
+    assert out.split("\n")[:2] == ["[0, 0, 0, 0, 0]", "[]"], out
+    assert all((tmp_path / f"{argv[0]}.out").stat().st_size > 0 for argv in commands)
 
 
 def test_cli_parser_loads_no_numpy():
     # --threads sets the BLAS thread caps after parsing, so numpy must not load before
-    src = str(Path(quadsuite.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import sys\n"
             "import quadsuite.cli\n"
             "quadsuite.cli._build_parser().parse_args(['quad-density', '--state', 'vacuum'])\n"
             "print('numpy' in sys.modules)\n")
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert _fresh_python(code).strip() == "False"
 
 
 # ---------------------------------------------------------------------------
@@ -72,12 +94,13 @@ def count(label, lo=0, hi=None):
 def real(*beyond, infinite=False):
     """(kind, bad values) for a real: a non-number, NaN, inf unless allowed,
     and the values beyond its documented limits.  A bool is the number 0 or 1 here."""
-    return "real", [(v, None) for v in ("x", math.nan, *([] if infinite else [math.inf]), *beyond)]
+    return "real", [(v, None) for v in ("x", "3", math.nan, *([] if infinite else [math.inf]), *beyond)]
 
 
 def point(*beyond):
     """(kind, bad values) for a phase point (q, p)."""
-    return "point", [(v, None) for v in ((1.0, 2.0, 3.0), ("x", 0.0), (math.nan, 0.0), (0.0, math.inf), *beyond)]
+    return "point", [(v, None) for v in ((1.0, 2.0, 3.0), ("x", 0.0), ("3", 0.0), (math.nan, 0.0), (0.0, math.inf),
+                                         *beyond)]
 
 
 S4, N1 = quadsuite.vacuum_state(4), quadsuite.number_state(1, 4)
@@ -97,8 +120,8 @@ CONTRACT = {
                      {"lo": real(), "step": real(-1.0)}),
     "uniform_axis": (lambda lo=-1.0, hi=1.0, step=0.5: quadsuite.uniform_axis(lo, hi, step),
                      {"lo": real(), "hi": real(-2.0), "step": real(-1.0)}),
-    # its points pass unchecked into the Hermite recurrence: hermite_function gives the point rule
-    "hermite_basis": (lambda n_max=3: quadsuite.hermite_basis(n_max, [0.3]), {"n_max": count("degree", hi=2000)}),
+    "hermite_basis": (lambda n_max=3, x=0.3: quadsuite.hermite_basis(n_max, x),
+                      {"n_max": count("degree", hi=2000), "x": real()}),
     "hermite_function": (lambda n=3, x=0.3: quadsuite.hermite_function(n, x), {"n": count("degree", hi=2000), "x": real()}),
     "overlap": (lambda n=1, m=2: quadsuite.overlap(UNIT, n, m), {"n": count("Fock index", hi=2000), "m": count("Fock index", hi=2000)}),
     "overlap_matrix": (lambda dim=3: quadsuite.overlap_matrix(UNIT, dim), {"dim": STATE_DIM}),

@@ -156,13 +156,27 @@ def test_radon_covers_a_rectangular_grid_with_unequal_steps():
         )
 
 
-@pytest.mark.parametrize("theta", [0.3, 1.2, 2.5, -2.0])
-def test_radon_is_the_row_sum_of_1d_splines(theta):
+ROW_SPLINE_AXES = ((-6.0, 6.5, 0.1), (-6.0, 6.0, 0.08))     # 126 x 151 samples
+# (axes, theta): the rectangular grid at angles on both sides of |cos| = |sin|, and
+# u axes of 3, 4 and 5 samples (q at theta 0.3, p at 1.2) whose frame is near 1e-18
+ROW_SPLINE_CASES = [pytest.param(ROW_SPLINE_AXES, theta, id=str(theta)) for theta in
+                    (0.3, 1.2, 2.5, -2.0, math.pi / 4.0 - 1e-9, math.pi / 4.0 + 1e-9,
+                     3.0 * math.pi / 4.0 - 1e-9, 3.0 * math.pi / 4.0 + 1e-9)]
+ROW_SPLINE_CASES += [pytest.param(axes, theta, id=f"u{n}-{theta}") for n in (3, 4, 5)
+                     for axes, theta in ((((-7.0, 7.0, 14.0 / (n - 1)), (-7.0, 7.0, 0.1)), 0.3),
+                                         (((-7.0, 7.0, 0.1), (-7.0, 7.0, 14.0 / (n - 1))), 1.2))]
+
+
+@pytest.mark.parametrize("axes, theta", ROW_SPLINE_CASES)
+def test_radon_is_the_row_sum_of_1d_splines(axes, theta):
     # reference: a loop over the grid rows at fixed v, each read along u by
-    # scipy's 1-D cubic spline of the row extended by zeros
+    # scipy's 1-D cubic spline.  On the fine grid ndimage prefilters the row
+    # extended by zeros.  Within a few steps of the frame that spline differs
+    # from radon's (2e-3 on a 3-sample axis), whose coefficients solve
+    # tridiag(1, 4, 1) c = 6 f on the row alone, zero beyond; so on the small
+    # axes the coefficients come from a dense solve of that system
     from scipy import ndimage
     st = coherent_state(0.5 + 0.4j, 16)
-    axes = ((-6.0, 6.5, 0.1), (-6.0, 6.0, 0.08))
     grid = _sampled_wigner(st, axes)
     (q0, _, hq), (p0, _, hp) = axes
     c, s = math.cos(theta), math.sin(theta)
@@ -170,11 +184,16 @@ def test_radon_is_the_row_sum_of_1d_splines(theta):
         a, b, u0, hu, vs, hv, samples = c, s, q0, hq, grid.axis_points(1), hp, grid.values
     else:
         a, b, u0, hu, vs, hv, samples = s, c, p0, hp, grid.axis_points(0), hq, grid.values.T
+    nu = len(samples)
+    prefilter = nu > 5
+    if not prefilter:
+        samples = np.linalg.solve(4.0 * np.eye(nu) + np.eye(nu, k=1) + np.eye(nu, k=-1), 6.0 * samples)
     ts = np.linspace(-3.0, 3.0, 7)
     want = np.zeros_like(ts)
     for j, v in enumerate(vs):
         at = ((ts - v * b) / a - u0) / hu
-        want += ndimage.map_coordinates(samples[:, j], at[None], order=3, mode="grid-constant")
+        want += ndimage.map_coordinates(samples[:, j], at[None], order=3, mode="grid-constant",
+                                        prefilter=prefilter)
     np.testing.assert_allclose(radon(grid, theta, ts), want * hv / abs(a), rtol=0, atol=1e-13)
 
 
@@ -196,6 +215,21 @@ def test_radon_on_both_sides_of_the_axis_switch(theta):
 @pytest.mark.parametrize("theta", [0.4, math.pi / 4.0, 2.0])
 def test_radon_is_zero_far_beyond_the_grid(theta):
     np.testing.assert_array_equal(radon(SWITCH_GRID, theta, [-50.0, 50.0]), 0.0)
+
+
+def test_radon_peak_memory_is_one_coefficient_array():
+    # the padded coefficients are the only grid-sized array a slice allocates
+    import tracemalloc
+    grid = wigner_grid(vacuum_state(4))                 # 801 x 801
+    xs = uniform_axis(-6.0, 6.0, 0.02)
+    radon(grid, 0.3, xs)                                # the first call imports scipy.linalg
+    tracemalloc.start()
+    try:
+        radon(grid, 0.3, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * grid.values.nbytes, peak / grid.values.nbytes
 
 
 def test_radon_rejects_non_finite_samples():
