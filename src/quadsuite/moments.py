@@ -103,18 +103,21 @@ def invert_moments(s: MomentSequence, mu: MomentSequence) -> MomentSequence:
 def gaussian_moments(mean: float, var: float, k_max: int) -> MomentSequence:
     """Raw moments of N(mean, var): binomial expansion around the mean with
     central moments (2j-1)!! var^j.  DomainError unless both are finite,
-    var >= 0 and k_max is a count up to MAX_MOMENT_ORDER."""
+    var >= 0 and k_max is a count up to MAX_MOMENT_ORDER, and DomainError
+    naming the first order whose moment leaves double range."""
     _require_finite("mean", mean)
     if _require_finite("variance", var) < 0:
         raise DomainError("variance must be nonnegative")
     k_max = _count("k_max", k_max, MAX_MOMENT_ORDER)
     central = [0.0] * (k_max + 1)
-    for j in range(0, k_max + 1, 2):
-        central[j] = math.prod(range(1, j, 2)) * var ** (j // 2)
-    out = [
-        sum(math.comb(k, n) * central[n] * mean ** (k - n) for n in range(k + 1))
-        for k in range(k_max + 1)
-    ]
+    out = []
+    for k in range(k_max + 1):
+        try:
+            if k % 2 == 0:
+                central[k] = math.prod(range(1, k, 2)) * var ** (k // 2)
+            out.append(sum(math.comb(k, n) * central[n] * mean ** (k - n) for n in range(k + 1)))
+        except OverflowError:
+            raise DomainError(f"moment of order {k} of N({mean:g}, {var:g}) overflows double range") from None
     return MomentSequence(tuple(out))
 
 

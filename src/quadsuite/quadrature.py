@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .domains import IntervalSet, _count, _pointwise, _require_finite
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 from .fock import MAX_FUNCTION_DEGREE, TruncatedState, _rotated, hermite_basis, overlap_matrix
 
 __all__ = [
@@ -171,7 +171,8 @@ def weyl_relation_deviation(q: float, p: float, dim: int) -> float:
 
     Returns the max-abs entry of the difference restricted to the top-left
     dim/2 block, where boundary effects have died off.  NaN or infinite
-    q or p raise DomainError.
+    q or p raise DomainError, and a shift whose exponential overflows in
+    ``expm`` (q = 1e20 at dim 10) ConvergenceError.
     """
     dim = _count("dim", dim, MAX_FUNCTION_DEGREE + 1, lo=2)
     _require_finite("q", q)
@@ -179,7 +180,10 @@ def weyl_relation_deviation(q: float, p: float, dim: int) -> float:
     from scipy.linalg import expm
     q_mat = quadrature_matrix(0.0, dim)
     p_mat = quadrature_matrix(math.pi / 2.0, dim)
-    shift_q, shift_p = expm(-1j * q * p_mat), expm(1j * p * q_mat)
+    with np.errstate(over="ignore", invalid="ignore"):
+        shift_q, shift_p = expm(-1j * q * p_mat), expm(1j * p * q_mat)
+    if not (np.isfinite(shift_q).all() and np.isfinite(shift_p).all()):
+        raise ConvergenceError(f"exp(-iqP) or exp(ipQ) overflows at q = {q:g}, p = {p:g}, dim {dim}")
     left = shift_q @ shift_p
     right = np.exp(-1j * q * p) * (shift_p @ shift_q)
     half = dim // 2

@@ -45,16 +45,13 @@ __all__ = [
 
 MAX_KERNEL_INDEX = 6
 MAX_KERNEL_SHIFT = 100.0   # largest |t| the derivative form evaluates
-SERIES_RTOL = 1e-12
-SERIES_MAX_TERMS = 500
-SERIES_QUIET_RUN = 5
 SERIES_CANCELLATION_LIMIT = 1e-9   # largest eps * sum_k |term_k| the series may carry
 
 MIN_DATASET_ANGLES = 32
 MAX_DATASET_STEP = 0.02
 CONDITION_LIMIT = 1e10
 
-_SERIES_FIRST_TERMS = 64
+_SERIES_LENGTH = 128       # series coefficients tabulated; the derived term counts stay below 85
 _KERNEL_TAIL = 1e-16       # bound on int_sigma_c^inf |w_n| for every n <= MAX_KERNEL_INDEX
 _KERNEL_ATOL = 5e-14       # rounding the Dawson recurrence may carry before the sigma rule takes over
 _X_BLOCK = 128             # x points per block of the row-spectrum table
@@ -207,38 +204,27 @@ def _kernel_series_form(n: int, t: np.ndarray) -> np.ndarray:
     """Alternating Hermite series sum_{k>=n} C(k,n)(-1)^(k-n) k!/(2^k (2k)!) H_2k(t).
 
     Since H_2k(t) = pi^(1/4) sqrt(4^k (2k)!) e^(t^2/2) h_2k(t), term k is
-    C(k,n)(-1)^(k-n) pi^(1/4) k!/sqrt((2k)!) e^(t^2/2) h_2k(t): every term
-    comes from one :func:`hermite_basis` table, whose size doubles from
-    64 terms until five consecutive terms fall below 1e-12 of the running
-    maximum.  The terms grow to about e^(t^2/2) before they cancel, so
-    once eps * sum_k |term_k| exceeds SERIES_CANCELLATION_LIMIT at any
-    point the sum has lost its digits and ConvergenceError is raised.
+    C(k,n)(-1)^(k-n) pi^(1/4) k!/sqrt((2k)!) e^(t^2/2) h_2k(t), read from one
+    :func:`hermite_basis` table.  As |h_m| <= pi^(-1/4) (Indritz 1961), the
+    terms from k on sum to at most e^(t^2/2) sum_(j>=k) C(j,n) j!/sqrt((2j)!),
+    so the series stops at the first k > n where that is below eps e^(t^2/2),
+    the rounding the sum carries anyway: 55 terms at n = 0 up to 84 at n = 6.
+    The terms grow to about e^(t^2/2) before they cancel, so once
+    eps * sum_k |term_k| exceeds SERIES_CANCELLATION_LIMIT at any point
+    the sum has lost its digits and ConvergenceError is raised.
     """
     with np.errstate(over="ignore"):
         weight = np.exp(0.5 * t * t)          # inf past |t| ~ 37.6
-    k = np.arange(SERIES_MAX_TERMS + 1)
-    ratios = np.sqrt(k[1:] / (4.0 * k[1:] - 2.0))   # k!/sqrt((2k)!) over its value at k - 1
-    coeffs = (np.pi ** 0.25 * binom(k, n) * (-1.0) ** (k - n)
-              * np.concatenate(([1.0], np.cumprod(ratios))))
-    size = _SERIES_FIRST_TERMS
-    while np.isfinite(weight).all():          # an infinite weight cancels away outright
-        size = min(size, SERIES_MAX_TERMS + 1)
-        terms = coeffs[:size, None] * hermite_basis(2 * size - 2, t)[::2]
+    k = np.arange(_SERIES_LENGTH)
+    sizes = binom(k, n) * np.concatenate(([1.0], np.cumprod(np.sqrt(k[1:] / (4.0 * k[1:] - 2.0)))))
+    tails = np.cumsum(sizes[::-1])[::-1]       # C(k,n) k!/sqrt((2k)!) summed from k on
+    count = int(np.argmax((tails < np.finfo(float).eps) & (k > n)))
+    if np.isfinite(weight).all():             # an infinite weight cancels away outright
+        coeffs = np.pi ** 0.25 * (-1.0) ** (k[:count] - n) * sizes[:count]
+        terms = coeffs[:, None] * hermite_basis(2 * count - 2, t)[::2]
         terms *= weight
-        peaks = np.abs(terms).max(axis=1)
-        quiet = peaks < SERIES_RTOL * np.maximum.accumulate(peaks)
-        quiet[: max(n, 1)] = False            # terms k < n are zero; k = 0 only seeds the maximum
-        runs = np.flatnonzero(np.convolve(quiet, np.ones(SERIES_QUIET_RUN), "valid") == SERIES_QUIET_RUN)
-        kept = terms[: runs[0] + SERIES_QUIET_RUN] if runs.size else terms
-        if np.finfo(float).eps * np.abs(kept).sum(axis=0).max() > SERIES_CANCELLATION_LIMIT:
-            break
-        if runs.size:
-            return kept.sum(axis=0)
-        if size > SERIES_MAX_TERMS:
-            raise ConvergenceError(
-                f"Hermite series for kernel index {n} did not settle in {SERIES_MAX_TERMS} terms"
-            )
-        size *= 2
+        if np.finfo(float).eps * np.abs(terms).sum(axis=0).max() <= SERIES_CANCELLATION_LIMIT:
+            return terms.sum(axis=0)
     raise ConvergenceError(
         f"Hermite series for kernel index {n} loses more than {SERIES_CANCELLATION_LIMIT:.0e} "
         f"to cancellation at |t| up to {np.max(np.abs(t)):.3g}; use the derivative form"
@@ -250,18 +236,18 @@ def markov_kernel_number(n: int, pt, theta: float, x, form: str = "derivative"):
 
     Depends on its arguments only through t = x - q cos(theta) - p sin(theta).
     ``form`` selects the Dawson-derivative expression or the Hermite series;
-    the two agree to better than 1e-8 on |t| <= 4.  The series cancels
-    terms of size e^(t^2/2), so it raises ConvergenceError wherever
-    rounding could cost more than 1e-9: from |t| = 6.4 at n = 0 down to
-    |t| = 5.4 at n = 6.  The derivative form's recurrence amplifies the
-    rounding of F(t) like H_(2n+1)(t), so past an n-dependent |t| (7.5 at
-    n = 1, 2.9 at n = 2, 2.4-2.5 for n = 3..6, never at n = 0) it hands
-    over to the frequency integral int_0^sigma_c w_n(sigma) cos(sigma t)
-    d sigma on a Gauss-Legendre rule.  Either way the value is within
-    1e-13 of the kernel (measured against a 60-digit oracle) for
-    |t| <= MAX_KERNEL_SHIFT = 100, and a larger |t| raises
-    ConvergenceError.  At n = 0, t = 0 the value is exactly 2.  A kernel
-    index that is not an integer in [0, MAX_KERNEL_INDEX], or NaN or
+    the two agree within 5e-13 on |t| <= 4 and 6e-10 on |t| <= 4 + sqrt 2.
+    The series cancels terms of size e^(t^2/2), so it raises
+    ConvergenceError wherever rounding could cost more than 1e-9: from
+    |t| = 6.4 at n = 0 down to |t| = 5.4 at n = 6.  The derivative form's
+    recurrence amplifies the rounding of F(t) like H_(2n+1)(t), so past an
+    n-dependent |t| (7.5 at n = 1, 2.9 at n = 2, 2.4-2.5 for n = 3..6,
+    never at n = 0) it hands over to the frequency integral
+    int_0^sigma_c w_n(sigma) cos(sigma t) d sigma on a Gauss-Legendre rule.
+    Either way the value is within 1e-13 of the kernel (measured against a
+    60-digit oracle) for |t| <= MAX_KERNEL_SHIFT = 100, and a larger |t|
+    raises ConvergenceError.  At n = 0, t = 0 the value is exactly 2.  A
+    kernel index that is not an integer in [0, MAX_KERNEL_INDEX], or NaN or
     infinite theta, point or x, raise DomainError.
     """
     n = _count("kernel index", n, MAX_KERNEL_INDEX)
@@ -499,9 +485,9 @@ def reconstruct_state(data: QuadratureDataset, dim: int) -> TruncatedState:
 def _row_spectra(data: QuadratureDataset, count: int):
     """(sigma, W, P): the count-node sigma rule and the row spectra
     P_j(sigma) = sum_i omega_i p_j(x_i) e^(i sigma x_i), with the trapezoid
-    weights omega_i, computed once per node count and kept on the dataset.
-    The table e^(i sigma x_i) is built _X_BLOCK points at a time as
-    e^(i sigma x_0) e^(i sigma k h), and each block's real view
+    weights omega_i, computed once per node count and kept on the dataset
+    (read-only).  The table e^(i sigma x_i) is built _X_BLOCK points at a
+    time as e^(i sigma x_0) e^(i sigma k h), and each block's real view
     [cos | sin] (interleaved) multiplies the real values.  For even J the
     row at theta_j + pi enters the functional as the conjugate of a row at
     theta_j, so P keeps the J/2 folded rows P_j + conj(P_(j+J/2))."""
@@ -525,6 +511,7 @@ def _row_spectra(data: QuadratureDataset, count: int):
         spectra = step * sums.view(complex)
         if data.angles % 2 == 0:      # s_(j + J/2) = -s_j, and Re[e^(i a) P] = Re[e^(-i a) conj(P)]
             spectra = spectra[: data.angles // 2] + spectra[data.angles // 2 :].conj()
+        spectra.flags.writeable = False
         kept = data._spectra[count] = (sigma, weights, spectra)
     return kept
 

@@ -86,11 +86,14 @@ def radon(grid: GridFunction, theta: float, t):
     u = (t - v b) / a.  That point is read with a cubic B-spline along u,
     whose coefficients solve tridiag(1, 4, 1) c = 6 f on each row (all rows
     in one in-place LDL^T solve of the zero-padded system), and the rows sum
-    with weight h_v / |a|.  Beyond the grid the coefficients are zero, so
-    samples there count as zero; the boundary decay check at BOUNDARY_TOL
-    bounds the spline's tail within two steps of the edge.  Angles are
-    reduced modulo 2 pi first, so the transform is exactly periodic.  A NaN
-    or infinite angle, line offset or grid sample raises DomainError.
+    with weight h_v / |a|.  Beyond the grid the spline coefficients, not the
+    samples, are zero: on a 3-sample u axis (coherent dim-16 Wigner) the
+    slices differ from the spline of the zero-extended row by 2.2e-3 of
+    0.36, on decayed fine grids by 1e-13.  The boundary decay check at
+    BOUNDARY_TOL bounds the spline's tail within two steps of the edge.
+    Angles are reduced modulo 2 pi first, so the transform is exactly
+    periodic.  A NaN or infinite angle, line offset or grid sample raises
+    DomainError.
     """
     grid.require_decayed(BOUNDARY_TOL)                      # refuses non-finite samples too
     theta = math.remainder(_require_finite("theta", theta), 2.0 * math.pi)

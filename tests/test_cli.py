@@ -230,6 +230,14 @@ def test_exit_code_non_finite_kernel_argument(capsys, args):
     assert "Traceback" not in err
 
 
+def test_exit_code_overflowing_probe_moments(capsys):
+    code, out, err = run_cli(capsys, "moments-demo", "--state", "number:1", "--mu-var", "1e200")
+    assert code == 2
+    assert out == ""
+    assert "overflows" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("args", [["--nu-var", "inf"], ["--mu-var", "nan"]])
 def test_exit_code_non_finite_probe_variance(capsys, args):
     code, out, err = run_cli(capsys, "moments-demo", "--state", "vacuum", "--dim", "6",

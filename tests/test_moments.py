@@ -55,6 +55,12 @@ def test_gaussian_moments_table():
         gaussian_moments(0.0, -1.0, 2)
 
 
+@pytest.mark.parametrize("mean, var, k_max, order", [(0.0, 1e200, 4, 4), (1e200, 0.0, 4, 2), (1e10, 1.0, 200, 31)])
+def test_gaussian_moments_refuse_overflow(mean, var, k_max, order):
+    with pytest.raises(DomainError, match=f"moment of order {order} .* overflows"):
+        gaussian_moments(mean, var, k_max)
+
+
 def test_vacuum_quadrature_moments():
     seq = quadrature_moment_sequence(vacuum_state(12), 0.4, 8)
     np.testing.assert_allclose(seq.values, VACUUM_MOMENTS, atol=1e-12)

@@ -6,6 +6,7 @@ from scipy.integrate import quad
 from scipy.linalg import expm
 
 from quadsuite import (
+    ConvergenceError,
     DomainError,
     IntervalSet,
     coherent_state,
@@ -200,6 +201,13 @@ def test_angle_functions_reject_non_finite_angle(theta):
 def test_weyl_relation_small_deviation():
     assert weyl_relation_deviation(0.5, -0.3, 60) < 1e-8
     assert weyl_relation_deviation(0.0, 0.0, 10) < 1e-15
+
+
+@pytest.mark.parametrize("q", [1e20, 1e200])
+def test_weyl_relation_refuses_an_overflowing_exponential(q):
+    # expm's squaring overflows at such shifts: a refusal, not a warning or NaN
+    with pytest.raises(ConvergenceError, match="overflows"):
+        weyl_relation_deviation(q, 0.5, 10)
 
 
 @pytest.mark.parametrize("dim", [8, 60])

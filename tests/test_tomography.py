@@ -5,6 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy.special import binom
 
 from quadsuite import (
     ConditioningError,
@@ -80,7 +81,7 @@ def test_kernel_forms_agree():
     for n in range(tomography.MAX_KERNEL_INDEX + 1):
         d = markov_kernel_number(n, (0.0, 0.0), 0.0, ts, form="derivative")
         s = markov_kernel_number(n, (0.0, 0.0), 0.0, ts, form="series")
-        assert np.max(np.abs(d - s)) < 1e-8
+        assert np.max(np.abs(d - s)) < 1e-12
     for form in ("derivative", "series"):
         assert markov_kernel_number(1, (0.0, 0.0), 0.0, np.array([]), form=form).shape == (0,)
 
@@ -118,12 +119,6 @@ def test_kernel_rejects_non_finite_input(pt, theta, x):
             markov_kernel_number(1, pt, theta, x, form=form)
 
 
-def test_kernel_series_convergence_guard(monkeypatch):
-    monkeypatch.setattr(tomography, "SERIES_MAX_TERMS", 3)
-    with pytest.raises(ConvergenceError):
-        markov_kernel_number(1, (0.0, 0.0), 0.0, np.array([2.0]), form="series")
-
-
 @pytest.mark.parametrize("n", [0, 2, 6])
 @pytest.mark.parametrize("t", [8.0, -10.0, 30.0, 40.0, 1e10])
 def test_kernel_series_refuses_cancelled_digits(n, t):
@@ -136,10 +131,28 @@ def test_kernel_series_refuses_cancelled_digits(n, t):
 
 def test_kernel_series_keeps_the_benchmark_range():
     ts = np.linspace(-4.0 - math.sqrt(2.0), 4.0 + math.sqrt(2.0), 201)
-    for n in range(3):
+    for n in range(tomography.MAX_KERNEL_INDEX + 1):
         d = markov_kernel_number(n, (0.0, 0.0), 0.0, ts, form="derivative")
         s = markov_kernel_number(n, (0.0, 0.0), 0.0, ts, form="series")
-        assert np.max(np.abs(d - s)) < 1e-7
+        assert np.max(np.abs(d - s)) < 1e-9
+
+
+@pytest.mark.parametrize("n, count", enumerate([55, 61, 67, 71, 76, 80, 84]))
+def test_kernel_series_tail_is_below_rounding(n, count):
+    # term k is C(k,n)(-1)^(k-n) pi^(1/4) k!/sqrt((2k)!) e^(t^2/2) h_2k(t); a table
+    # twice as long as the series' term count adds a tail below eps e^(t^2/2),
+    # and each sum of terms totalling at most 2 e^(t^2/2) rounds by a few eps
+    # e^(t^2/2) (6.3 at most on a 2049-point grid), wherever the series answers
+    ts = np.linspace(-6.4, 6.4, 257)
+    k = np.arange(2 * count)
+    ratios = np.sqrt(k[1:] / (4.0 * k[1:] - 2.0))
+    coeffs = np.pi ** 0.25 * binom(k, n) * (-1.0) ** (k - n) * np.concatenate(([1.0], np.cumprod(ratios)))
+    terms = coeffs[:, None] * hermite_basis(4 * count - 2, ts)[::2] * np.exp(0.5 * ts * ts)
+    answered = np.finfo(float).eps * np.abs(terms).sum(axis=0) <= tomography.SERIES_CANCELLATION_LIMIT
+    assert answered.sum() > 200
+    series = markov_kernel_number(n, (0.0, 0.0), 0.0, ts[answered], form="series")
+    gap = np.abs(series - terms[:, answered].sum(axis=0))
+    assert np.all(gap <= 10.0 * np.finfo(float).eps * np.exp(0.5 * ts[answered] ** 2))
 
 
 def test_kernel_oracle_is_the_defining_integral(kernel_oracle):
@@ -364,6 +377,16 @@ def test_gk_from_data_folds_opposite_angles_only_when_it_can(angles, rows, rng, 
         want = float(gk_density(state, number_state(n, 10), pt))
         assert abs(gk_from_quadrature_data(data, n, pt) - want) <= 1e-12
     assert [len(spectra) for _, _, spectra in data._spectra.values()] == [rows]
+
+
+def test_kept_row_spectra_are_read_only():
+    data = generate_dataset(vacuum_state(4), 32, (-8.0, 8.0, 0.02))
+    sigma, weights, spectra = tomography._row_spectra(data, 96)
+    assert tomography._row_spectra(data, 96)[2] is spectra
+    for part in (sigma, weights, spectra):
+        assert not part.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        spectra[0, 0] = 0.0
 
 
 @pytest.mark.parametrize("pt", [(6.0, 6.0), (0.0, -8.5), (-20.0, 1.0)])
